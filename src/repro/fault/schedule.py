@@ -531,31 +531,38 @@ class FaultInjector:
 
     # -- imperative API (tests that steer failures mid-run) ----------------
 
+    def _apply_now(self, spec: FaultSpec) -> None:
+        """Apply ``spec`` at the current simulated time.
+
+        Overdue timed transitions are applied first: left pending, they
+        would fire at the next RPC — after this one — undoing it and
+        putting :attr:`trace` out of time order.
+        """
+        now = self.cluster.engine.now
+        self.advance(now)
+        self._apply(now, spec)
+
     def fail_ost_now(self, ost: int, duration: Optional[float] = None) -> None:
         """Take an OST down immediately (at the current simulated time)."""
-        now = self.cluster.engine.now
-        self._apply(
-            now, FaultSpec("ost_down", target=int(ost), duration=duration)
+        self._apply_now(
+            FaultSpec("ost_down", target=int(ost), duration=duration)
         )
 
     def recover_ost_now(self, ost: int) -> None:
         """Bring an OST back immediately."""
-        self._apply(self.cluster.engine.now, FaultSpec("ost_up", target=int(ost)))
+        self._apply_now(FaultSpec("ost_up", target=int(ost)))
 
     def fail_mds_now(
         self, shard: int, duration: Optional[float] = None
     ) -> None:
         """Take an MDS shard down immediately."""
-        self._apply(
-            self.cluster.engine.now,
-            FaultSpec("mds_down", target=int(shard), duration=duration),
+        self._apply_now(
+            FaultSpec("mds_down", target=int(shard), duration=duration)
         )
 
     def recover_mds_now(self, shard: int) -> None:
         """Bring an MDS shard back immediately."""
-        self._apply(
-            self.cluster.engine.now, FaultSpec("mds_up", target=int(shard))
-        )
+        self._apply_now(FaultSpec("mds_up", target=int(shard)))
 
     @property
     def down_mds(self) -> tuple[int, ...]:

@@ -54,6 +54,12 @@ _SERVICE_KEYS = {
 }
 
 
+def _call(run: Callable[[], object]):
+    """A generator that returns ``run()`` without ever yielding."""
+    return run()
+    yield  # unreachable: makes this function a generator
+
+
 def _owner_name() -> str:
     """The submitting sim process's name (empty outside a process)."""
     try:
@@ -357,13 +363,10 @@ class RateLimiter:
 
         Returns the seconds slept (0.0 when tokens covered the charge).
         """
-        waited = self._charge(nbytes)
-        if waited > 0.0:
-            sim.sleep(waited)
-        return waited
+        return sim.run_blocking(self.throttle_lw(nbytes))
 
     def throttle_lw(self, nbytes: int):
-        """Light-process twin of :meth:`throttle` (``yield from`` it)."""
+        """Generator body of :meth:`throttle` (``yield from`` it)."""
         waited = self._charge(nbytes)
         if waited > 0.0:
             yield waited
@@ -434,12 +437,9 @@ class IoScheduler:
             raise RuntimeError(
                 "cannot change I/O policy with requests in flight"
             )
-        if policy == "drr":
-            self._policy = DeficitRoundRobinPolicy(
-                weights=drr_weights, quantum=drr_quantum
-            )
-        else:
-            self._policy = make_policy(policy)
+        self._policy = make_policy(
+            policy, weights=drr_weights, quantum=drr_quantum
+        )
         if compaction_bandwidth is not None:
             # 0 means "no throttle", matching the config convention.
             self.set_compaction_bandwidth(compaction_bandwidth)
@@ -488,86 +488,12 @@ class IoScheduler:
         """Admit one request and execute ``run()`` when granted.
 
         Runs on the caller's sim process; returns ``run()``'s value.
+        ``run`` is an ordinary callable, wrapped in a generator that
+        never yields so :meth:`submit_lw` is the one admission path.
         """
-        if priority is None:
-            priority = current_priority()
-        cls = priority.name.lower()
-        stats = self.stats
-        stats.class_submitted[cls] += 1
-        stats.class_bytes[cls] += nbytes
-        limiter = self._limiters.get(priority)
-        if limiter is not None and nbytes > 0:
-            waited = limiter.throttle(nbytes)
-            if waited > 0.0:
-                stats.throttle_time += waited
-                stats.throttled_bytes += nbytes
-        tele = _trace.TELEMETRY
-        if self._policy.inline:
-            # FIFO fast path: no request object, no events — the exact
-            # pre-scheduler call sequence (bit-identity contract).
-            stats.inline_issues += 1
-            stats.class_issued[cls] += 1
-            if tele is None:
-                return run()
-            tele.observe(_WAIT_KEYS[cls], 0.0)
-            start = _trace.ambient_clock()
-            try:
-                return run()
-            finally:
-                tele.observe(
-                    _SERVICE_KEYS[cls], _trace.ambient_clock() - start
-                )
-        request = IoRequest(
-            kind=kind,
-            priority=priority,
-            nbytes=nbytes,
-            ost=ost,
-            deadline=current_deadline(),
-            owner=_owner_name(),
-            submit_time=sim.now(),
+        return sim.run_blocking(
+            self.submit_lw(kind, nbytes, lambda: _call(run), ost, priority)
         )
-        if self._active is None and not len(self._policy):
-            self._active = request
-            if tele is not None:
-                tele.observe(_WAIT_KEYS[cls], 0.0)
-        else:
-            request._gate = sim.Event(
-                self._engine, name=f"{self.name}.grant{request.seq}"
-            )
-            self._policy.push(request)
-            depth = len(self._policy)
-            if depth > stats.max_queue_depth:
-                stats.max_queue_depth = depth
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                tracer.gauge("io", f"{self.name}.depth", depth)
-                span = tracer.span(
-                    "io", "sched.wait", sched=self.name, kind=kind,
-                    cls=cls, nbytes=nbytes,
-                )
-            try:
-                sim.wait(request._gate)
-            finally:
-                if span is not None:
-                    span.finish()
-            stats.queued_issues += 1
-            waited_q = sim.now() - request.submit_time
-            stats.class_stall_time[cls] += waited_q
-            if tele is not None:
-                tele.observe(_WAIT_KEYS[cls], waited_q)
-        stats.class_issued[cls] += 1
-        if tele is None:
-            try:
-                return run()
-            finally:
-                self._finish()
-        start = _trace.ambient_clock()
-        try:
-            return run()
-        finally:
-            tele.observe(_SERVICE_KEYS[cls], _trace.ambient_clock() - start)
-            self._finish()
 
     def submit_lw(
         self,
@@ -577,13 +503,10 @@ class IoScheduler:
         ost: Optional[int] = None,
         priority: Optional[Priority] = None,
     ):
-        """Light-process twin of :meth:`submit` (``yield from`` it).
+        """Generator body of :meth:`submit` (``yield from`` it).
 
         ``run()`` must return a generator speaking the light-process
         protocol; it is driven inline once the request is granted.
-        Accounting, queue operations, and telemetry mirror
-        :meth:`submit` line for line, so either backend produces the
-        same admission schedule and the same stats.
         """
         if priority is None:
             priority = current_priority()
@@ -599,6 +522,8 @@ class IoScheduler:
                 stats.throttled_bytes += nbytes
         tele = _trace.TELEMETRY
         if self._policy.inline:
+            # FIFO fast path: no request object, no events — the exact
+            # pre-scheduler call sequence (bit-identity contract).
             stats.inline_issues += 1
             stats.class_issued[cls] += 1
             if tele is None:

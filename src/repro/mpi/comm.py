@@ -89,63 +89,10 @@ class Communicator:
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking send: occupies this rank's NIC for the wire time."""
-        if not 0 <= dest < self.size:
-            raise InvalidArgumentError(f"bad destination rank {dest}")
-        if dest == self.rank:
-            # Self-sends skip the NIC (rendezvous through local memory).
-            self.world.mailbox(dest, self.rank, tag).put(obj)
-            return
-        nbytes = message_size(obj)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "mpi", "send", src=self.rank, dest=dest, tag=tag,
-                nbytes=nbytes,
-            )
-        try:
-            with self.world._nics[self.rank].request():
-                sim.sleep(self.world.network.transfer_time(nbytes))
-            self.world.mailbox(dest, self.rank, tag).put(obj)
-            self.world._any_source[dest].put((self.rank, tag))
-        finally:
-            if span is not None:
-                span.finish()
-
-    def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
-        """Blocking receive.
-
-        ``source=ANY_SOURCE`` matches messages from any rank with the
-        given tag (arrival order).
-        """
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("mpi", "recv", rank=self.rank, src=source,
-                             tag=tag):
-                return self._recv(source, tag)
-        return self._recv(source, tag)
-
-    def _recv(self, source: int, tag: int) -> Any:
-        if source == ANY_SOURCE:
-            # Hold non-matching arrival notices aside while scanning, then
-            # re-post them; re-posting inside the loop would spin forever
-            # on a notice queue that contains only other tags.
-            skipped: list[tuple[int, int]] = []
-            try:
-                while True:
-                    src, msg_tag = self.world._any_source[self.rank].get()
-                    if msg_tag == tag:
-                        return self.world.mailbox(self.rank, src, tag).get()
-                    skipped.append((src, msg_tag))
-            finally:
-                for notice in skipped:
-                    self.world._any_source[self.rank].put(notice)
-        if not 0 <= source < self.size:
-            raise InvalidArgumentError(f"bad source rank {source}")
-        return self.world.mailbox(self.rank, source, tag).get()
+        return sim.run_blocking(self.send_lw(obj, dest, tag))
 
     def send_lw(self, obj: Any, dest: int, tag: int = 0):
-        """Light-process twin of :meth:`send` (``yield from`` it)."""
+        """Generator body of :meth:`send` (``yield from`` it)."""
         if not 0 <= dest < self.size:
             raise InvalidArgumentError(f"bad destination rank {dest}")
         if dest == self.rank:
@@ -173,30 +120,49 @@ class Communicator:
             if span is not None:
                 span.finish()
 
+    def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
+        """Blocking receive.
+
+        ``source=ANY_SOURCE`` matches messages from any rank with the
+        given tag (arrival order).
+        """
+        return sim.run_blocking(self.recv_lw(source, tag))
+
     def recv_lw(self, source: int = ANY_SOURCE, tag: int = 0):
-        """Light-process twin of :meth:`recv` (``yield from`` it)."""
-        if source == ANY_SOURCE:
-            skipped: list[tuple[int, int]] = []
-            try:
-                while True:
-                    src, msg_tag = yield from (
-                        self.world._any_source[self.rank].get_lw()
-                    )
-                    if msg_tag == tag:
-                        return (
-                            yield from self.world.mailbox(
-                                self.rank, src, tag
-                            ).get_lw()
-                        )
-                    skipped.append((src, msg_tag))
-            finally:
-                for notice in skipped:
-                    self.world._any_source[self.rank].put(notice)
-        if not 0 <= source < self.size:
-            raise InvalidArgumentError(f"bad source rank {source}")
-        return (
-            yield from self.world.mailbox(self.rank, source, tag).get_lw()
-        )
+        """Generator body of :meth:`recv` (``yield from`` it)."""
+        tracer = _trace.TRACER
+        span = None
+        if tracer is not None:
+            span = tracer.span("mpi", "recv", rank=self.rank, src=source,
+                               tag=tag)
+        try:
+            if source == ANY_SOURCE:
+                # Hold non-matching arrival notices aside while scanning,
+                # then re-post them; re-posting inside the loop would spin
+                # forever on a notice queue that contains only other tags.
+                notices = self.world._any_source[self.rank]
+                skipped: list[tuple[int, int]] = []
+                try:
+                    while True:
+                        src, msg_tag = yield from notices.get_lw()
+                        if msg_tag == tag:
+                            return (
+                                yield from self.world.mailbox(
+                                    self.rank, src, tag
+                                ).get_lw()
+                            )
+                        skipped.append((src, msg_tag))
+                finally:
+                    for notice in skipped:
+                        notices.put(notice)
+            if not 0 <= source < self.size:
+                raise InvalidArgumentError(f"bad source rank {source}")
+            return (
+                yield from self.world.mailbox(self.rank, source, tag).get_lw()
+            )
+        finally:
+            if span is not None:
+                span.finish()
 
     def sendrecv(
         self, obj: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
@@ -217,35 +183,10 @@ class Communicator:
 
     def channel_send(self, key: str, obj: Any, dest: int) -> None:
         """Send into ``dest``'s named channel (same wire cost as send)."""
-        if not 0 <= dest < self.size:
-            raise InvalidArgumentError(f"bad destination rank {dest}")
-        if dest != self.rank:
-            nbytes = message_size(obj)
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                span = tracer.span(
-                    "mpi", "channel_send", src=self.rank, dest=dest,
-                    key=key, nbytes=nbytes,
-                )
-            try:
-                with self.world._nics[self.rank].request():
-                    sim.sleep(self.world.network.transfer_time(nbytes))
-            finally:
-                if span is not None:
-                    span.finish()
-        self.world.channel(dest, key).put(obj)
-
-    def channel_recv(self, key: str) -> Any:
-        """Blocking take from this rank's named channel."""
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("mpi", "channel_recv", rank=self.rank, key=key):
-                return self.world.channel(self.rank, key).get()
-        return self.world.channel(self.rank, key).get()
+        return sim.run_blocking(self.channel_send_lw(key, obj, dest))
 
     def channel_send_lw(self, key: str, obj: Any, dest: int):
-        """Light-process twin of :meth:`channel_send` (``yield from`` it)."""
+        """Generator body of :meth:`channel_send` (``yield from`` it)."""
         if not 0 <= dest < self.size:
             raise InvalidArgumentError(f"bad destination rank {dest}")
         if dest != self.rank:
@@ -269,9 +210,17 @@ class Communicator:
                     span.finish()
         self.world.channel(dest, key).put(obj)
 
+    def channel_recv(self, key: str) -> Any:
+        """Blocking take from this rank's named channel."""
+        return sim.run_blocking(self.channel_recv_lw(key))
+
     def channel_recv_lw(self, key: str):
-        """Light-process twin of :meth:`channel_recv` (``yield from`` it)."""
-        return (yield from self.world.channel(self.rank, key).get_lw())
+        """Generator body of :meth:`channel_recv` (``yield from`` it)."""
+        tracer = _trace.TRACER
+        if tracer is None:
+            return (yield from self.world.channel(self.rank, key).get_lw())
+        with tracer.span("mpi", "channel_recv", rank=self.rank, key=key):
+            return (yield from self.world.channel(self.rank, key).get_lw())
 
     # ------------------------------------------------------------------
     # Collectives
@@ -282,50 +231,37 @@ class Communicator:
 
     def barrier(self) -> None:
         """Block until every rank in the world has entered the barrier."""
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("mpi", "barrier", rank=self.rank):
-                return self._barrier()
-        return self._barrier()
-
-    def _barrier(self) -> None:
-        world = self.world
-        world._barrier_count += 1
-        gate = world._barrier_event
-        if world._barrier_count == world.size:
-            world._barrier_count = 0
-            world._barrier_generation += 1
-            world._barrier_event = sim.Event(
-                world.engine, name=f"barrier-{world._barrier_generation}"
-            )
-            # A real barrier costs ~latency * log2(p) on a tree network.
-            depth = max(1, (world.size - 1).bit_length())
-            sim.sleep(world.network.latency * depth)
-            gate.succeed()
-        else:
-            sim.wait(gate)
+        return sim.run_blocking(self.barrier_lw())
 
     def barrier_lw(self):
-        """Light-process twin of :meth:`barrier` (``yield from`` it).
+        """Generator body of :meth:`barrier` (``yield from`` it).
 
-        Interoperates with thread-backed ranks in :meth:`barrier`: both
-        forms share the world's count/generation state and gate event.
+        Thread-backed and light ranks share the world's count/generation
+        state and gate event, so both kinds may meet in one barrier.
         """
-        world = self.world
-        world._barrier_count += 1
-        gate = world._barrier_event
-        if world._barrier_count == world.size:
-            world._barrier_count = 0
-            world._barrier_generation += 1
-            world._barrier_event = sim.Event(
-                world.engine, name=f"barrier-{world._barrier_generation}"
-            )
-            # A real barrier costs ~latency * log2(p) on a tree network.
-            depth = max(1, (world.size - 1).bit_length())
-            yield world.network.latency * depth
-            gate.succeed()
-        else:
-            yield gate
+        tracer = _trace.TRACER
+        span = None
+        if tracer is not None:
+            span = tracer.span("mpi", "barrier", rank=self.rank)
+        try:
+            world = self.world
+            world._barrier_count += 1
+            gate = world._barrier_event
+            if world._barrier_count == world.size:
+                world._barrier_count = 0
+                world._barrier_generation += 1
+                world._barrier_event = sim.Event(
+                    world.engine, name=f"barrier-{world._barrier_generation}"
+                )
+                # A real barrier costs ~latency * log2(p) on a tree network.
+                depth = max(1, (world.size - 1).bit_length())
+                yield world.network.latency * depth
+                gate.succeed()
+            else:
+                yield gate
+        finally:
+            if span is not None:
+                span.finish()
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Binomial-tree broadcast; returns the object on every rank."""

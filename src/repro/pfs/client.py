@@ -159,8 +159,8 @@ class LustreClient:
     # Namespace operations (charge the MDS)
     # ------------------------------------------------------------------
 
-    def _mds_op(self, op: str, path: Optional[str] = None) -> None:
-        """One MDS request, admitted as METADATA class.
+    def _mds_op_lw(self, op: str, path: Optional[str] = None):
+        """One MDS request, admitted as METADATA class (``yield from`` it).
 
         Namespace ops always classify as METADATA regardless of the
         ambient :func:`io_priority` context: they are tiny, the caller
@@ -168,15 +168,6 @@ class LustreClient:
         from bulk data.  ``path`` selects the DNE shard; ``None`` routes
         to the root shard (format-model bookkeeping ops).
         """
-        self.scheduler.submit(
-            "meta", 0,
-            lambda: sim.run_blocking(self._mds_service_lw(op, path)),
-            priority=Priority.METADATA,
-        )
-        self.stats.mds_ops += 1
-
-    def _mds_op_lw(self, op: str, path: Optional[str] = None):
-        """Light-process twin of :meth:`_mds_op` (``yield from`` it)."""
         yield from self.scheduler.submit_lw(
             "meta", 0, lambda: self._mds_service_lw(op, path),
             priority=Priority.METADATA,
@@ -270,7 +261,19 @@ class LustreClient:
         stripe_size: Optional[int | str] = None,
         store_data: Optional[bool] = None,
     ) -> LustreFile:
-        self._mds_op("create", path)
+        return sim.run_blocking(
+            self.create_lw(path, stripe_count, stripe_size, store_data)
+        )
+
+    def create_lw(
+        self,
+        path: str,
+        stripe_count: Optional[int] = None,
+        stripe_size: Optional[int | str] = None,
+        store_data: Optional[bool] = None,
+    ):
+        """Generator body of :meth:`create` (``yield from`` it)."""
+        yield from self._mds_op_lw("create", path)
         file = self.cluster.create(
             path,
             stripe_count=stripe_count,
@@ -282,26 +285,42 @@ class LustreClient:
         return file
 
     def open(self, path: str) -> LustreFile:
+        return sim.run_blocking(self.open_lw(path))
+
+    def open_lw(self, path: str):
+        """Generator body of :meth:`open` (``yield from`` it)."""
         cached = self._md_cached(path)
         if cached is not None:
             return cached
-        self._mds_op("open", path)
+        yield from self._mds_op_lw("open", path)
         return self._md_fill(path)
 
     def close(self, file: LustreFile) -> None:
         """Flush write-behind data, then release the handle at the MDS."""
-        self.fsync(file)
-        self._mds_op("close", file.path)
+        return sim.run_blocking(self.close_lw(file))
+
+    def close_lw(self, file: LustreFile):
+        """Generator body of :meth:`close` (``yield from`` it)."""
+        yield from self.fsync_lw(file)
+        yield from self._mds_op_lw("close", file.path)
 
     def stat(self, path: str) -> LustreFile:
+        return sim.run_blocking(self.stat_lw(path))
+
+    def stat_lw(self, path: str):
+        """Generator body of :meth:`stat` (``yield from`` it)."""
         cached = self._md_cached(path)
         if cached is not None:
             return cached
-        self._mds_op("stat", path)
+        yield from self._mds_op_lw("stat", path)
         return self._md_fill(path)
 
     def unlink(self, path: str) -> None:
-        self._mds_op("unlink", path)
+        return sim.run_blocking(self.unlink_lw(path))
+
+    def unlink_lw(self, path: str):
+        """Generator body of :meth:`unlink` (``yield from`` it)."""
+        yield from self._mds_op_lw("unlink", path)
         self.cluster.unlink(path)
         if self._md_cache is not None:
             self._md_cache.insert(path, exists=False)
@@ -313,7 +332,11 @@ class LustreClient:
         cluster broadcasts an invalidation — the same coherence rule as
         create/unlink.
         """
-        self._mds_op("setattr", path)
+        return sim.run_blocking(self.setattr_lw(path))
+
+    def setattr_lw(self, path: str):
+        """Generator body of :meth:`setattr` (``yield from`` it)."""
+        yield from self._mds_op_lw("setattr", path)
         file = self.cluster.lookup(path)
         self.cluster._invalidate_md(path)
         return file
@@ -328,98 +351,27 @@ class LustreClient:
         owning ``dirpath`` (``dirpath + "/"`` routes there: entries
         co-locate with their directory).
         """
-        if batch_size < 1:
-            raise InvalidArgumentError("batch_size must be >= 1")
-        self._mds_op("readdir", dirpath + "/")
-        return self._readdir_slice(dirpath, start, batch_size)
-
-    def readdir(self, dirpath: str, batch_size: int = 64) -> list[str]:
-        """Full directory listing via paged readdir RPCs (sorted names)."""
-        names: list[str] = []
-        start: Optional[int] = 0
-        while start is not None:
-            page, start = self.readdir_page(dirpath, start, batch_size)
-            names.extend(page)
-        return names
-
-    def _readdir_slice(
-        self, dirpath: str, start: int, batch_size: int
-    ) -> tuple[list[str], Optional[int]]:
-        names = self.cluster.mds.entries(dirpath)
-        end = start + batch_size
-        return names[start:end], end if end < len(names) else None
-
-    def metadata_op(self, op: str) -> None:
-        """Charge an arbitrary MDS operation (used by format models)."""
-        self._mds_op(op)
-
-    # -- light-process namespace API (``yield from`` inside a generator) --
-
-    def create_lw(
-        self,
-        path: str,
-        stripe_count: Optional[int] = None,
-        stripe_size: Optional[int | str] = None,
-        store_data: Optional[bool] = None,
-    ):
-        """Light-process twin of :meth:`create`."""
-        yield from self._mds_op_lw("create", path)
-        file = self.cluster.create(
-            path,
-            stripe_count=stripe_count,
-            stripe_size=stripe_size,
-            store_data=store_data,
+        return sim.run_blocking(
+            self.readdir_page_lw(dirpath, start, batch_size)
         )
-        if self._md_cache is not None:
-            self._md_cache.insert(path, exists=True)
-        return file
-
-    def open_lw(self, path: str):
-        """Light-process twin of :meth:`open`."""
-        cached = self._md_cached(path)
-        if cached is not None:
-            return cached
-        yield from self._mds_op_lw("open", path)
-        return self._md_fill(path)
-
-    def close_lw(self, file: LustreFile):
-        """Light-process twin of :meth:`close`."""
-        yield from self.fsync_lw(file)
-        yield from self._mds_op_lw("close", file.path)
-
-    def stat_lw(self, path: str):
-        """Light-process twin of :meth:`stat`."""
-        cached = self._md_cached(path)
-        if cached is not None:
-            return cached
-        yield from self._mds_op_lw("stat", path)
-        return self._md_fill(path)
-
-    def unlink_lw(self, path: str):
-        """Light-process twin of :meth:`unlink`."""
-        yield from self._mds_op_lw("unlink", path)
-        self.cluster.unlink(path)
-        if self._md_cache is not None:
-            self._md_cache.insert(path, exists=False)
-
-    def setattr_lw(self, path: str):
-        """Light-process twin of :meth:`setattr`."""
-        yield from self._mds_op_lw("setattr", path)
-        file = self.cluster.lookup(path)
-        self.cluster._invalidate_md(path)
-        return file
 
     def readdir_page_lw(
         self, dirpath: str, start: int = 0, batch_size: int = 64
     ):
-        """Light-process twin of :meth:`readdir_page`."""
+        """Generator body of :meth:`readdir_page` (``yield from`` it)."""
         if batch_size < 1:
             raise InvalidArgumentError("batch_size must be >= 1")
         yield from self._mds_op_lw("readdir", dirpath + "/")
-        return self._readdir_slice(dirpath, start, batch_size)
+        names = self.cluster.mds.entries(dirpath)
+        end = start + batch_size
+        return names[start:end], end if end < len(names) else None
+
+    def readdir(self, dirpath: str, batch_size: int = 64) -> list[str]:
+        """Full directory listing via paged readdir RPCs (sorted names)."""
+        return sim.run_blocking(self.readdir_lw(dirpath, batch_size))
 
     def readdir_lw(self, dirpath: str, batch_size: int = 64):
-        """Light-process twin of :meth:`readdir`."""
+        """Generator body of :meth:`readdir` (``yield from`` it)."""
         names: list[str] = []
         start: Optional[int] = 0
         while start is not None:
@@ -429,15 +381,15 @@ class LustreClient:
             names.extend(page)
         return names
 
+    def metadata_op(self, op: str) -> None:
+        """Charge an arbitrary MDS operation (used by format models)."""
+        sim.run_blocking(self._mds_op_lw(op))
+
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
 
-    def _coalesce(self, file: LustreFile, offset: int, length: int) -> list[Rpc]:
-        """Coalesce one contiguous file range into per-OST RPCs."""
-        return self._coalesce_ranges(file, [(offset, length)])
-
-    def _coalesce_ranges(
+    def _coalesce(
         self, file: LustreFile, ranges_in: list[tuple[int, int]]
     ) -> list[Rpc]:
         """Stripe-decompose file ranges, then batch per-object extents.
@@ -481,22 +433,11 @@ class LustreClient:
         stages complete in the background (write-behind).  Call
         :meth:`fsync` or :meth:`close` for durability, as IOR does.
         """
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            length = len(data)
-            file.store(offset, bytes(data))
-        else:
-            length = int(data)
-            if length < 0:
-                raise InvalidArgumentError("negative write length")
-            file.extend_size(offset, length)
-        if length == 0:
-            return
-        rpcs = self._coalesce(file, offset, length)
-        self.scheduler.submit(
-            "write", length, lambda: self._issue_write_rpcs(rpcs),
-            ost=rpcs[0].ost_index,
-        )
-        self.stats.bytes_written += length
+        return sim.run_blocking(self.write_lw(file, offset, data))
+
+    def write_lw(self, file: LustreFile, offset: int, data: "bytes | int"):
+        """Generator body of :meth:`write`: a one-segment :meth:`writev_lw`."""
+        return (yield from self.writev_lw(file, [(offset, data)]))
 
     def writev(
         self, file: LustreFile, segments: list[tuple[int, "bytes | int"]]
@@ -506,6 +447,12 @@ class LustreClient:
         The collective-I/O aggregators use this so an every-Nth-stripe
         file domain still reaches each OST as large sequential RPCs.
         """
+        return sim.run_blocking(self.writev_lw(file, segments))
+
+    def writev_lw(
+        self, file: LustreFile, segments: list[tuple[int, "bytes | int"]]
+    ):
+        """Generator body of :meth:`writev` (``yield from`` it)."""
         ranges: list[tuple[int, int]] = []
         total = 0
         for offset, data in segments:
@@ -522,42 +469,15 @@ class LustreClient:
                 total += length
         if not ranges:
             return
-        rpcs = self._coalesce_ranges(file, ranges)
-        self.scheduler.submit(
-            "write", total, lambda: self._issue_write_rpcs(rpcs),
+        rpcs = self._coalesce(file, ranges)
+        yield from self.scheduler.submit_lw(
+            "write", total, lambda: self._issue_write_rpcs_lw(rpcs),
             ost=rpcs[0].ost_index,
         )
         self.stats.bytes_written += total
 
-    def write_lw(self, file: LustreFile, offset: int, data: "bytes | int"):
-        """Light-process twin of :meth:`write` (``yield from`` it)."""
-        if isinstance(data, (bytes, bytearray, memoryview)):
-            length = len(data)
-            file.store(offset, bytes(data))
-        else:
-            length = int(data)
-            if length < 0:
-                raise InvalidArgumentError("negative write length")
-            file.extend_size(offset, length)
-        if length == 0:
-            return
-        rpcs = self._coalesce(file, offset, length)
-        yield from self.scheduler.submit_lw(
-            "write", length, lambda: self._issue_write_rpcs_lw(rpcs),
-            ost=rpcs[0].ost_index,
-        )
-        self.stats.bytes_written += length
-
-    def _issue_write_rpcs(self, rpcs: list[Rpc]) -> None:
-        sim.run_blocking(self._issue_write_rpcs_lw(rpcs))
-
     def _issue_write_rpcs_lw(self, rpcs: list[Rpc]):
-        """NIC admission + write-behind spawn, as a light process.
-
-        The single source of truth for the write issue path; the thread
-        form drives this generator via :func:`sim.run_blocking`, so both
-        backends produce the same RPC schedule.
-        """
+        """NIC admission + write-behind spawn for one write request."""
         engine = self.cluster.engine
         tracer = _trace.TRACER
         span = None
@@ -617,13 +537,7 @@ class LustreClient:
             if self.cluster.fault_injector is None:
                 # Healthy fast path: identical to a cluster without the fault
                 # subsystem (one attribute check of overhead).
-                yield from self.cluster.oss_for_ost(
-                    rpc.ost_index
-                ).transfer_lw(rpc.length)
-                yield from self.cluster.osts[rpc.ost_index].serve_lw(
-                    self.client_id, rpc.object_id, rpc.object_offset,
-                    rpc.length, is_write=True,
-                )
+                yield from self._transfer_lw(rpc, is_write=True)
                 return
             try:
                 yield from self._faulty_transfer_lw(rpc, is_write=True)
@@ -682,8 +596,7 @@ class LustreClient:
         )
         if extra > 0.0:
             yield extra
-        oss = self.cluster.oss_for_ost(rpc.ost_index)
-        if drop or not oss.up:
+        if drop or not self.cluster.oss_for_ost(rpc.ost_index).up:
             # The request (or its reply) vanished: wait out the timeout.
             yield self._rpc_timeout
             self.stats.rpc_timeouts += 1
@@ -692,18 +605,18 @@ class LustreClient:
                 f"timed out after {self._rpc_timeout}s",
                 ost_index=rpc.ost_index,
             )
-        ost = self.cluster.osts[rpc.ost_index]
+        yield from self._transfer_lw(rpc, is_write)
+
+    def _transfer_lw(self, rpc: Rpc, is_write: bool):
+        """OSS pipe then OST disk for a write; the reverse for a read."""
+        oss = self.cluster.oss_for_ost(rpc.ost_index)
         if is_write:
             yield from oss.transfer_lw(rpc.length)
-            yield from ost.serve_lw(
-                self.client_id, rpc.object_id, rpc.object_offset, rpc.length,
-                is_write=True,
-            )
-        else:
-            yield from ost.serve_lw(
-                self.client_id, rpc.object_id, rpc.object_offset, rpc.length,
-                is_write=False,
-            )
+        yield from self.cluster.osts[rpc.ost_index].serve_lw(
+            self.client_id, rpc.object_id, rpc.object_offset, rpc.length,
+            is_write=is_write,
+        )
+        if not is_write:
             yield from oss.transfer_lw(rpc.length)
 
     def _backoff_lw(self, attempts: int):
@@ -735,14 +648,11 @@ class LustreClient:
         (:class:`RetryExhaustedError` after the retry budget is spent) —
         the POSIX contract that fsync is where async write errors land.
         """
-        self.scheduler.submit("fsync", 0, self._fsync_impl)
+        return sim.run_blocking(self.fsync_lw(file))
 
     def fsync_lw(self, file: Optional[LustreFile] = None):
-        """Light-process twin of :meth:`fsync` (``yield from`` it)."""
+        """Generator body of :meth:`fsync` (``yield from`` it)."""
         yield from self.scheduler.submit_lw("fsync", 0, self._fsync_impl_lw)
-
-    def _fsync_impl(self) -> None:
-        sim.run_blocking(self._fsync_impl_lw())
 
     def _fsync_impl_lw(self):
         tracer = _trace.TRACER
@@ -770,22 +680,14 @@ class LustreClient:
 
     def read(self, file: LustreFile, offset: int, nbytes: int) -> bytes:
         """Synchronous striped read; returns the logical bytes."""
-        nbytes = min(nbytes, max(0, file.size - offset))
-        if nbytes <= 0:
-            return b""
-        rpcs = self._coalesce(file, offset, nbytes)
-        return self.scheduler.submit(
-            "read", nbytes,
-            lambda: self._read_impl(file, offset, nbytes, rpcs),
-            ost=rpcs[0].ost_index,
-        )
+        return sim.run_blocking(self.read_lw(file, offset, nbytes))
 
     def read_lw(self, file: LustreFile, offset: int, nbytes: int):
-        """Light-process twin of :meth:`read` (``yield from`` it)."""
+        """Generator body of :meth:`read` (``yield from`` it)."""
         nbytes = min(nbytes, max(0, file.size - offset))
         if nbytes <= 0:
             return b""
-        rpcs = self._coalesce(file, offset, nbytes)
+        rpcs = self._coalesce(file, [(offset, nbytes)])
         return (
             yield from self.scheduler.submit_lw(
                 "read", nbytes,
@@ -793,11 +695,6 @@ class LustreClient:
                 ost=rpcs[0].ost_index,
             )
         )
-
-    def _read_impl(
-        self, file: LustreFile, offset: int, nbytes: int, rpcs: list[Rpc]
-    ) -> bytes:
-        return sim.run_blocking(self._read_impl_lw(file, offset, nbytes, rpcs))
 
     def _read_impl_lw(
         self, file: LustreFile, offset: int, nbytes: int, rpcs: list[Rpc]
@@ -839,13 +736,7 @@ class LustreClient:
         try:
             yield from self._jitter_delay_lw()
             if self.cluster.fault_injector is None:
-                yield from self.cluster.osts[rpc.ost_index].serve_lw(
-                    self.client_id, rpc.object_id, rpc.object_offset,
-                    rpc.length, is_write=False,
-                )
-                yield from self.cluster.oss_for_ost(
-                    rpc.ost_index
-                ).transfer_lw(rpc.length)
+                yield from self._transfer_lw(rpc, is_write=False)
                 return
             try:
                 yield from self._faulty_transfer_lw(rpc, is_write=False)

@@ -10,7 +10,7 @@ from collections import deque
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.sim.engine import Engine, Event, wait
+from repro.sim.engine import Engine, Event, run_blocking
 
 
 class Resource:
@@ -33,20 +33,10 @@ class Resource:
 
     def acquire(self) -> None:
         """Block until a slot is free, then take it."""
-        if self._in_use < self.capacity and not self._queue:
-            self._in_use += 1
-            return
-        gate = Event(self.engine, name=f"{self.name}.acquire")
-        self._queue.append(gate)
-        wait(gate)
-        # The releaser transferred its slot to us (kept _in_use high).
+        return run_blocking(self.acquire_lw())
 
     def acquire_lw(self):
-        """Light-process twin of :meth:`acquire` (``yield from`` it).
-
-        Performs the same queue/slot operations, parking via ``yield``
-        instead of :func:`wait`, so both backends replay one schedule.
-        """
+        """Generator body of :meth:`acquire` (``yield from`` it)."""
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
             return
@@ -114,14 +104,10 @@ class Store:
 
     def get(self) -> Any:
         """Take the oldest item, blocking while the store is empty."""
-        if self._items:
-            return self._items.popleft()
-        gate = Event(self.engine, name=f"{self.name}.get")
-        self._getters.append(gate)
-        return wait(gate)
+        return run_blocking(self.get_lw())
 
     def get_lw(self):
-        """Light-process twin of :meth:`get` (``yield from`` it)."""
+        """Generator body of :meth:`get` (``yield from`` it)."""
         if self._items:
             return self._items.popleft()
         gate = Event(self.engine, name=f"{self.name}.get")

@@ -240,6 +240,38 @@ class TestImperativeApi:
         kinds = [kind for _, kind, _ in injector.trace]
         assert kinds == ["ost_down", "ost_up"]
 
+    def test_overdue_timed_failure_applies_before_imperative_recovery(self):
+        # No RPC runs between t=0.337 and t=2.0, so the timed failure is
+        # still pending when recover_ost_now(2) is called.
+        def main(client):
+            injector = client.cluster.fault_injector
+            sim.sleep(2.0)
+            injector.recover_ost_now(2)
+            write_one_file(client, stripe_count=4)
+            return injector.down_osts
+
+        down, _, injector, _ = run_faulty(
+            fast_retry_cluster(), FaultSchedule().fail_ost(2, at_time=0.337),
+            main,
+        )
+        assert down == ()
+        assert injector.trace == [(0.337, "ost_down", 2), (2.0, "ost_up", 2)]
+
+    def test_overdue_timed_mds_failure_applies_before_recovery(self):
+        def main(client):
+            injector = client.cluster.fault_injector
+            sim.sleep(2.0)
+            injector.recover_mds_now(0)
+            write_one_file(client)
+            return injector.down_mds
+
+        down, _, injector, _ = run_faulty(
+            fast_retry_cluster(), FaultSchedule().fail_mds(0, at_time=0.337),
+            main,
+        )
+        assert down == ()
+        assert injector.trace == [(0.337, "mds_down", 0), (2.0, "mds_up", 0)]
+
 
 class TestDeterminism:
     def _noisy_schedule(self):

@@ -7,7 +7,7 @@ tests run the identical program on both backends and compare schedules.
 
 import pytest
 
-from repro import sim
+from repro import sim, trace
 from repro.mpi import Network, World
 
 
@@ -142,3 +142,60 @@ class TestBackendEquivalence:
                 return [h.result for h in handles], final, engine._heap_pushes
 
         assert run(True) == run(False)
+
+
+class TestTraceParity:
+    """Both backends emit the same ``mpi`` spans: one body, one trace."""
+
+    @staticmethod
+    def _program(comm, do):
+        if comm.rank == 0:
+            yield from do(comm.send, "ping", 1, 3)
+            yield from do(comm.channel_send, "shuttle", "cargo", 1)
+        else:
+            assert (yield from do(comm.recv, 0, 3)) == "ping"
+            assert (yield from do(comm.channel_recv, "shuttle")) == "cargo"
+        yield from do(comm.barrier)
+
+    @staticmethod
+    def _blocking(method, *args):
+        return method(*args)
+        yield  # unreachable: makes this a generator
+
+    @staticmethod
+    def _light(method, *args):
+        lw = getattr(method.__self__, f"{method.__name__}_lw")
+        return (yield from lw(*args))
+
+    def _mpi_spans(self, light: bool):
+        tracer = trace.install()
+        try:
+            with sim.Engine() as engine:
+                world = World(engine, 2)
+                for rank in range(2):
+                    if light:
+                        engine.spawn_light(
+                            self._program, world.comm(rank), self._light,
+                            name=f"rank{rank}",
+                        )
+                    else:
+                        engine.spawn(
+                            sim.run_blocking,
+                            self._program(world.comm(rank), self._blocking),
+                            name=f"rank{rank}",
+                        )
+                engine.run()
+        finally:
+            trace.uninstall()
+        return sorted(
+            (s.name, s.track, s.start, s.end, sorted(s.args.items()))
+            for s in tracer.spans
+            if s.category == "mpi"
+        )
+
+    def test_light_and_thread_forms_emit_the_same_spans(self):
+        spans = self._mpi_spans(light=True)
+        assert spans == self._mpi_spans(light=False)
+        names = [name for name, *_ in spans]
+        assert names.count("barrier") == 2
+        assert {"send", "recv", "channel_send", "channel_recv"} <= set(names)
