@@ -426,8 +426,14 @@ class LustreClient:
                     remaining -= chunk
         return rpcs
 
-    def write(self, file: LustreFile, offset: int, data: bytes | int) -> None:
+    def write(
+        self, file: LustreFile, offset: int, data: "bytes | tuple | int"
+    ) -> None:
         """Write ``data`` (bytes, or a length for data-less mode).
+
+        ``data`` may also be a tuple of buffers written back to back;
+        they are stored by reference, so the caller must never mutate
+        them afterwards.  Any other buffer is copied once.
 
         Returns when the bytes have left this node's NIC; the OSS/OST
         stages complete in the background (write-behind).  Call
@@ -435,12 +441,14 @@ class LustreClient:
         """
         return sim.run_blocking(self.write_lw(file, offset, data))
 
-    def write_lw(self, file: LustreFile, offset: int, data: "bytes | int"):
+    def write_lw(
+        self, file: LustreFile, offset: int, data: "bytes | tuple | int"
+    ):
         """Generator body of :meth:`write`: a one-segment :meth:`writev_lw`."""
         return (yield from self.writev_lw(file, [(offset, data)]))
 
     def writev(
-        self, file: LustreFile, segments: list[tuple[int, "bytes | int"]]
+        self, file: LustreFile, segments: list[tuple[int, "bytes | tuple | int"]]
     ) -> None:
         """Vectored write: all segments coalesce as one dirty-page set.
 
@@ -450,13 +458,18 @@ class LustreClient:
         return sim.run_blocking(self.writev_lw(file, segments))
 
     def writev_lw(
-        self, file: LustreFile, segments: list[tuple[int, "bytes | int"]]
+        self, file: LustreFile, segments: list[tuple[int, "bytes | tuple | int"]]
     ):
         """Generator body of :meth:`writev` (``yield from`` it)."""
         ranges: list[tuple[int, int]] = []
         total = 0
         for offset, data in segments:
-            if isinstance(data, (bytes, bytearray, memoryview)):
+            if type(data) is tuple:  # immutable parts, kept by reference
+                length = sum(map(len, data))
+                file.store(offset, data)
+            elif isinstance(data, (bytes, bytearray, memoryview)):
+                # bytes(data) is free for bytes and one copy otherwise:
+                # callers reuse their mutable buffers.
                 length = len(data)
                 file.store(offset, bytes(data))
             else:

@@ -2,14 +2,15 @@
 
 :class:`LustreCluster` owns the simulated hardware (OSTs, OSSs, MDS) and a
 flat namespace of :class:`LustreFile` objects.  Logical file *contents*
-are stored eagerly (a bytearray per file) so the storage engine running on
-top gets its bytes back verbatim; *timing* is charged separately by the
-client/servers in simulated time.
+are stored eagerly (immutable extents kept by reference) so the storage
+engine running on top gets its bytes back verbatim; *timing* is charged
+separately by the client/servers in simulated time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -126,7 +127,12 @@ class LustreConfig:
 
 
 class LustreFile:
-    """One striped file: layout + logical contents."""
+    """One striped file: layout + logical contents.
+
+    Contents are a sorted list of non-overlapping extents, each an
+    immutable buffer kept by reference: the bytes the storage engine
+    handed over are the bytes stored, with no staging copy.
+    """
 
     _MAX_OSTS_PER_FILE = 4096  # object-id namespace slot per file
 
@@ -141,36 +147,119 @@ class LustreFile:
         self.path = path
         self.layout = layout
         self.size = 0
-        self._data: Optional[bytearray] = bytearray() if store_data else None
+        #: extent start offsets, ascending; ``None`` in data-less mode
+        self._starts: Optional[list[int]] = [] if store_data else None
+        #: extent buffers, parallel to ``_starts``, never empty
+        self._bufs: list = []
 
     def object_id(self, ost_index: int) -> int:
         """Globally-unique id of this file's object on ``ost_index``."""
         return self.file_id * self._MAX_OSTS_PER_FILE + ost_index
 
-    def store(self, offset: int, data: bytes) -> None:
-        """Record logical contents (no simulated cost — timing is separate)."""
-        end = offset + len(data)
-        if self._data is not None:
-            if end > len(self._data):
-                self._data.extend(b"\x00" * (end - len(self._data)))
-            self._data[offset:end] = data
+    def store(self, offset: int, data) -> None:
+        """Record logical contents (no simulated cost — timing is separate).
+
+        ``data`` is one buffer or a tuple of buffers stored back to back.
+        Every buffer is kept by reference, so the caller must never
+        mutate it afterwards.
+        """
+        parts = data if type(data) is tuple else (data,)
+        end = offset + sum(map(len, parts))
+        starts = self._starts
+        if starts is not None and end > offset:
+            bufs = self._bufs
+            if not starts or offset >= starts[-1] + len(bufs[-1]):
+                for part in parts:  # an append: the sequential case
+                    if len(part):
+                        starts.append(offset)
+                        bufs.append(part)
+                        offset += len(part)
+            else:
+                self._overwrite(offset, end, parts)
         self.size = max(self.size, end)
 
+    def _overwrite(self, offset: int, end: int, parts: tuple) -> None:
+        """Replace ``[offset, end)``, splitting the extents it overlaps."""
+        starts, bufs = self._starts, self._bufs
+        lo = bisect_right(starts, offset) - 1
+        if lo < 0 or starts[lo] + len(bufs[lo]) <= offset:
+            lo += 1  # no extent straddles ``offset``
+        hi = bisect_left(starts, end, lo)  # first extent at or past ``end``
+        new_starts: list[int] = []
+        new_bufs: list = []
+        if lo < hi and starts[lo] < offset:  # keep the head of the first
+            new_starts.append(starts[lo])
+            new_bufs.append(_view(bufs[lo])[: offset - starts[lo]])
+        position = offset
+        for part in parts:
+            if len(part):
+                new_starts.append(position)
+                new_bufs.append(part)
+                position += len(part)
+        if lo < hi:
+            last_start, last = starts[hi - 1], bufs[hi - 1]
+            if last_start + len(last) > end:  # keep the tail of the last
+                new_starts.append(end)
+                new_bufs.append(_view(last)[end - last_start :])
+        starts[lo:hi] = new_starts
+        bufs[lo:hi] = new_bufs
+
     def load(self, offset: int, nbytes: int) -> bytes:
-        """Read logical contents (zero-filled holes, short at EOF)."""
+        """Read logical contents (zero-filled holes, short at EOF).
+
+        Returns the stored ``bytes`` object itself when the range is
+        exactly one extent, one slice when it lies inside one extent,
+        and one join otherwise.  The result is never mutable.
+        """
         end = min(offset + nbytes, self.size)
         if end <= offset:
             return b""
-        if self._data is None:
-            return b"\x00" * (end - offset)
-        chunk = bytes(self._data[offset:end])
-        if len(chunk) < end - offset:  # hole past stored bytes
-            chunk += b"\x00" * (end - offset - len(chunk))
-        return chunk
+        starts = self._starts
+        if starts is None:
+            return bytes(end - offset)
+        bufs = self._bufs
+        index = bisect_right(starts, offset) - 1
+        if index >= 0:
+            start, buf = starts[index], bufs[index]
+            if end <= start + len(buf):  # inside one extent
+                if type(buf) is bytes:
+                    if offset == start and end - start == len(buf):
+                        return buf
+                    return buf[offset - start : end - start]
+                return bytes(_view(buf)[offset - start : end - start])
+        else:
+            index = 0
+        pieces = []
+        position = offset
+        count = len(starts)
+        while position < end:
+            if index < count and starts[index] <= position:
+                start, buf = starts[index], bufs[index]
+                stop = start + len(buf)
+                index += 1
+                if stop <= position:
+                    continue
+                if position == start and stop <= end:
+                    pieces.append(buf)
+                else:
+                    pieces.append(
+                        _view(buf)[position - start : min(stop, end) - start]
+                    )
+                position = min(stop, end)
+            else:  # a hole up to the next extent (or EOF) reads as zeros
+                hole_end = min(starts[index], end) if index < count else end
+                pieces.append(bytes(hole_end - position))
+                position = hole_end
+        return b"".join(pieces)
 
     def extend_size(self, offset: int, nbytes: int) -> None:
         """Size bookkeeping for data-less mode."""
         self.size = max(self.size, offset + nbytes)
+
+
+def _view(buf) -> memoryview:
+    """A read-only view of ``buf`` for slicing without a copy."""
+    return memoryview(buf).toreadonly()
 
 
 class LustreCluster:

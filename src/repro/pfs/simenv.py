@@ -23,7 +23,12 @@ from repro.util.humanize import parse_size
 
 
 class _SimWritableFile(WritableFile):
-    """Append-only stream with page-cache-style batching."""
+    """Append-only stream with page-cache-style batching.
+
+    Appended buffers are queued by reference and leave as client writes
+    of exactly ``buffer_size`` bytes; a buffer straddling that boundary
+    is split with a read-only view, never copied.
+    """
 
     def __init__(
         self,
@@ -34,28 +39,50 @@ class _SimWritableFile(WritableFile):
     ):
         self._client = client
         self._file = file
-        self._buffer = bytearray()
+        self._parts: list = []  # queued buffers, in file order
+        self._buffered = 0  # bytes in ``_parts``
         self._buffer_size = buffer_size
         self._offset = 0
         self._closed = False
         self._charge_mds_on_close = charge_mds_on_close
 
     def append(self, data: bytes) -> None:
+        # bytes(data) is free for bytes and one exact-size copy for a
+        # bytearray/memoryview: callers reuse their scratch buffers, and
+        # a builder's finish() view is only valid until its reset.
+        self.append_owned(bytes(data))
+
+    def append_owned(self, data) -> None:
+        # Ownership transferred: queue the caller's buffer as-is.
         if self._closed:
             raise StorageIOError(f"write to closed file {self._file.path}")
-        self._buffer += data
-        while len(self._buffer) >= self._buffer_size:
+        if not len(data):
+            return
+        self._parts.append(data)
+        self._buffered += len(data)
+        while self._buffered >= self._buffer_size:
             self._emit(self._buffer_size)
 
     def _emit(self, nbytes: int) -> None:
-        chunk = bytes(self._buffer[:nbytes])
-        del self._buffer[:nbytes]
-        self._client.write(self._file, self._offset, chunk)
-        self._offset += len(chunk)
+        parts = self._parts
+        count = taken = 0
+        while taken < nbytes:
+            taken += len(parts[count])
+            count += 1
+        chunk = parts[:count]
+        del parts[:count]
+        if taken > nbytes:  # the last part straddles the boundary
+            last = memoryview(chunk[-1]).toreadonly()
+            cut = len(last) - (taken - nbytes)
+            chunk[-1] = last[:cut]
+            parts.insert(0, last[cut:])
+        self._buffered -= nbytes
+        self._client.write(self._file, self._offset, tuple(chunk))
+        self._offset += nbytes
 
     def flush(self) -> None:
-        if self._buffer:
-            self._emit(len(self._buffer))
+        if self._buffered:
+            self._emit(self._buffered)
 
     def sync(self) -> None:
         self.flush()
@@ -144,7 +171,7 @@ class SimLustreEnv(Env):
 
     @staticmethod
     def _norm(path: str) -> str:
-        return path.strip("/").replace("//", "/")
+        return "/".join(piece for piece in path.split("/") if piece)
 
     # -- files -----------------------------------------------------------
 
