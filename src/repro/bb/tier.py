@@ -57,6 +57,7 @@ from repro.lsm.env import (
     RandomAccessFile,
     SequentialFile,
     WritableFile,
+    normalize_path,
 )
 from repro.trace import runtime as _trace
 from repro.util.crc import crc32c
@@ -904,29 +905,25 @@ class BurstBufferEnv(Env):
     def cluster(self):
         return getattr(self.base, "cluster", None)
 
-    @staticmethod
-    def _norm(path: str) -> str:
-        return path.strip("/").replace("//", "/")
-
     def _on_device(self, path: str) -> bool:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         return not norm.startswith(".bb/") and self.tier.device.exists(norm)
 
     # -- files -------------------------------------------------------------
 
     def new_writable_file(self, path: str) -> WritableFile:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         on_device = self.tier._open_segment(norm)
         return _BBWritableFile(self.tier, norm, on_device)
 
     def new_random_access_file(self, path: str) -> RandomAccessFile:
         if self._on_device(path):
-            return _BBRandomAccessFile(self.tier.device, self._norm(path))
+            return _BBRandomAccessFile(self.tier.device, normalize_path(path))
         return self.base.new_random_access_file(path)
 
     def new_sequential_file(self, path: str) -> SequentialFile:
         if self._on_device(path):
-            return _BBSequentialFile(self.tier.device, self._norm(path))
+            return _BBSequentialFile(self.tier.device, normalize_path(path))
         return self.base.new_sequential_file(path)
 
     # -- namespace ---------------------------------------------------------
@@ -936,11 +933,11 @@ class BurstBufferEnv(Env):
 
     def file_size(self, path: str) -> int:
         if self._on_device(path):
-            return self.tier.device.size(self._norm(path))
+            return self.tier.device.size(normalize_path(path))
         return self.base.file_size(path)
 
     def delete_file(self, path: str) -> None:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         tier = self.tier
         found = False
         seg = tier._segments.pop(norm, None)
@@ -962,7 +959,7 @@ class BurstBufferEnv(Env):
             raise NotFoundError(f"no such file: {path}")
 
     def rename_file(self, src: str, dst: str) -> None:
-        nsrc, ndst = self._norm(src), self._norm(dst)
+        nsrc, ndst = normalize_path(src), normalize_path(dst)
         tier = self.tier
         found = False
         seg = tier._segments.pop(nsrc, None)
@@ -993,7 +990,7 @@ class BurstBufferEnv(Env):
         self.base.create_dir(path)
 
     def get_children(self, path: str) -> list[str]:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         prefix = norm + "/" if norm else ""
         children: set[str] = set()
         base_missing = False

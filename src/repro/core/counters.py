@@ -51,7 +51,7 @@ class PerfCounters:
     degraded_barriers: int = 0
     failed_barriers: int = 0
     #: group-commit telemetry: writes that rode another write's commit
-    #: (manager accumulation + the engine's writer-queue merges), extent
+    #: (store aggregation + the engine's writer-queue merges), extent
     #: bytes the PFS client merged into a neighbouring RPC, and the
     #: high-water commit-queue depth observed at the engine.
     batches_merged: int = 0

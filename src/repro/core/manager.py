@@ -27,7 +27,6 @@ from repro.errors import (
     RetryExhaustedError,
     RpcTimeoutError,
 )
-from repro.lsm.batch import WriteBatch
 from repro.lsm.env import Env
 from repro.core.checkpoint import DegradedWriteReport
 from repro.core.counters import PerfCounters, ambient_clock
@@ -118,16 +117,7 @@ class LsmioManager:
             metrics.register(namespace, self.counters)
         self.store: Optional[LsmioStore] = None
         self._server = None
-        # Write accumulation (group commit at manager level): local
-        # puts/appends/deletes collect in one WriteBatch, flushed as a
-        # single engine write at the barrier / before reads / on sync /
-        # at the write-buffer threshold.
-        self._pending: Optional[WriteBatch] = None
-        self._pending_limit = self.options.write_buffer_size
-        self._batch_writes = bool(
-            getattr(self.options, "batch_writes", True)
-        )
-        self._db_merges_seen = 0
+        self._merges_seen = 0
         self._client_coalesced_seen = 0
         #: the node's burst-buffer tier (None without one configured)
         self.burst_buffer = None
@@ -251,19 +241,9 @@ class LsmioManager:
         try:
             self._check_open()
             if self.is_aggregator:
-                self._flush_pending()
                 value = self.store.get(key)
             else:
-                self.comm.channel_send(
-                    _OPS_CHANNEL, ("get", self.comm.rank, key),
-                    self.aggregator_rank,
-                )
-                status, payload = self.comm.channel_recv(
-                    _reply_channel(self.comm.rank)
-                )
-                if status == "err":
-                    raise payload
-                value = payload
+                value = self._ask_aggregator(("get", self.comm.rank, key))
             if span is not None:
                 span.set(nbytes=len(value))
         finally:
@@ -302,19 +282,9 @@ class LsmioManager:
         before = self._fault_snapshot()
         try:
             if self.is_aggregator:
-                self._flush_pending()
                 self.store.write_barrier(sync=sync)
             else:
-                self.comm.channel_send(
-                    _OPS_CHANNEL,
-                    ("barrier", self.comm.rank, sync),
-                    self.aggregator_rank,
-                )
-                status, payload = self.comm.channel_recv(
-                    _reply_channel(self.comm.rank)
-                )
-                if status == "err":
-                    raise payload
+                self._ask_aggregator(("barrier", self.comm.rank, sync))
         except _BARRIER_FAULTS as exc:
             self._sync_group_commit_counters()
             report = self._barrier_report(before, completed=False, error=str(exc))
@@ -437,19 +407,9 @@ class LsmioManager:
         start = ambient_clock()
         self._check_open()
         if self.is_aggregator:
-            self._flush_pending()
             out = self.store.multi_get(keys)
         else:
-            self.comm.channel_send(
-                _OPS_CHANNEL, ("mget", self.comm.rank, keys),
-                self.aggregator_rank,
-            )
-            status, payload = self.comm.channel_recv(
-                _reply_channel(self.comm.rank)
-            )
-            if status == "err":
-                raise payload
-            out = payload
+            out = self._ask_aggregator(("mget", self.comm.rank, keys))
         nbytes = sum(len(v) for v in out.values() if v is not None)
         self.counters.record("get", nbytes, ambient_clock() - start)
         return out
@@ -469,7 +429,6 @@ class LsmioManager:
                 "read_prefix is served by the aggregator rank in "
                 "collective mode"
             )
-        self._flush_pending()
         stop = prefix + b"\xff" * 8
         out = [
             (key, value)
@@ -489,7 +448,6 @@ class LsmioManager:
             raise InvalidArgumentError(
                 "scan is served by the aggregator rank in collective mode"
             )
-        self._flush_pending()
         return self.store.scan(start, stop)
 
     # ------------------------------------------------------------------
@@ -508,9 +466,12 @@ class LsmioManager:
                 )
             self.comm.channel_send(_OPS_CHANNEL, op, self.aggregator_rank)
             return
-        if self._batch_writes:
-            self._accumulate(kind, key, value, sync)
-            return
+        self._write_local(kind, key, value, sync)
+
+    def _write_local(
+        self, kind: str, key: bytes, value: bytes, sync: Optional[bool]
+    ) -> None:
+        """Hand one write to the store, which aggregates it (group commit)."""
         if kind == "put":
             self.store.put(key, value, sync=sync)
         elif kind == "append":
@@ -518,65 +479,35 @@ class LsmioManager:
         else:
             self.store.delete(key)
 
-    def _accumulate(
-        self, kind: str, key: bytes, value: bytes, sync: Optional[bool]
-    ) -> None:
-        """Queue one write into the pending batch; flush when required.
+    def _ask_aggregator(self, op: tuple) -> Any:
+        """Send a request to the group aggregator; return its reply.
 
-        Each operation is sealed as its own charge segment so the engine
-        bills modeled CPU per operation — aggregation changes wall-clock
-        cost, not simulated timings.
+        A storage fault the aggregator hit serving the request is
+        re-raised here, on the member that asked.
         """
-        pending = self._pending
-        if pending is None:
-            pending = self._pending = WriteBatch()
-        if kind == "put":
-            pending.put(key, value)
-        elif kind == "append":
-            pending.merge(key, value)
-        else:
-            pending.delete(key)
-        pending.add_charge_boundary()
-        effective_sync = sync if sync is not None else self.options.sync_writes
-        if effective_sync or pending.approximate_size >= self._pending_limit:
-            self._flush_pending(sync=effective_sync)
-
-    def _flush_pending(self, sync: bool = False) -> None:
-        """Apply the pending batch as one engine write (group commit)."""
-        pending = self._pending
-        if pending is None or not len(pending):
-            return
-        self._pending = None
-        if len(pending) > 1:
-            self.counters.batches_merged += len(pending) - 1
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "core", "flush_pending", ops=len(pending),
-                nbytes=pending.payload_bytes, sync=sync,
-            )
-        try:
-            self.store.write_batch(pending, sync=sync)
-        finally:
-            if span is not None:
-                span.finish()
+        self.comm.channel_send(_OPS_CHANNEL, op, self.aggregator_rank)
+        status, payload = self.comm.channel_recv(
+            _reply_channel(self.comm.rank)
+        )
+        if status == "err":
+            raise payload
+        return payload
 
     def _sync_group_commit_counters(self) -> None:
         """Fold engine/client coalescing telemetry into the perf counters.
 
-        ``batches_merged`` accumulates both manager-level accumulation and
-        the engine's writer-queue merges (delta-tracked so repeated
+        ``batches_merged`` accumulates both the store's write aggregation
+        and the engine's writer-queue merges (delta-tracked so repeated
         barriers don't double-count); ``commit_queue_depth`` is a
         high-water gauge; ``bytes_coalesced`` counts extent bytes the PFS
         client merged into neighbouring RPCs.
         """
         if self.store is not None:
             stats = self.store.db.stats
-            merges = stats.batches_merged
-            if merges > self._db_merges_seen:
-                self.counters.batches_merged += merges - self._db_merges_seen
-                self._db_merges_seen = merges
+            merges = self.store.batches_merged + stats.batches_merged
+            if merges > self._merges_seen:
+                self.counters.batches_merged += merges - self._merges_seen
+                self._merges_seen = merges
             depth = stats.max_commit_queue_depth
             if depth > self.counters.commit_queue_depth:
                 self.counters.commit_queue_depth = depth
@@ -604,6 +535,12 @@ class LsmioManager:
         """Handle forwarded operations until every member disconnects."""
         from repro.errors import ReproError
 
+        store = self.store
+        requests = {
+            "get": store.get,
+            "mget": store.multi_get,
+            "barrier": store.write_barrier,
+        }
         live = set(members)
         while live:
             msg = self.comm.channel_recv(_OPS_CHANNEL)
@@ -612,37 +549,11 @@ class LsmioManager:
                 # Forwarded writes join the same accumulation batch as
                 # the aggregator's own, so one group commit covers the
                 # whole collective group.
-                _, key, value, sync = msg
-                if self._batch_writes:
-                    self._accumulate(kind, key, value, sync)
-                elif kind == "put":
-                    self.store.put(key, value, sync=sync)
-                elif kind == "append":
-                    self.store.append(key, value, sync=sync)
-                else:
-                    self.store.delete(key)
-            elif kind == "get":
-                _, src, key = msg
+                self._write_local(*msg)
+            elif kind in requests:
+                _, src, arg = msg
                 try:
-                    self._flush_pending()
-                    reply = ("ok", self.store.get(key))
-                except ReproError as exc:
-                    reply = ("err", exc)
-                self.comm.channel_send(_reply_channel(src), reply, src)
-            elif kind == "mget":
-                _, src, keys = msg
-                try:
-                    self._flush_pending()
-                    reply = ("ok", self.store.multi_get(keys))
-                except ReproError as exc:
-                    reply = ("err", exc)
-                self.comm.channel_send(_reply_channel(src), reply, src)
-            elif kind == "barrier":
-                _, src, sync = msg
-                try:
-                    self._flush_pending()
-                    self.store.write_barrier(sync=sync)
-                    reply = ("ok", None)
+                    reply = ("ok", requests[kind](arg))
                 except ReproError as exc:
                     # Ship the storage fault to the requesting member —
                     # dying here would leave it blocked on the reply.
@@ -683,9 +594,8 @@ class LsmioManager:
 
                 if self._server.alive:
                     sim.wait(self._server.done)
-            self._flush_pending()
-            self._sync_group_commit_counters()
             self.store.close()
+            self._sync_group_commit_counters()
             if self.burst_buffer is not None:
                 # a closed manager leaves nothing stranded on the node:
                 # drain the backlog to the PFS, then stop the worker

@@ -19,9 +19,9 @@ from repro.util.humanize import parse_size
 class Backend(enum.Enum):
     """Which LSM-store behaviour to emulate (§3.1.2).
 
-    ``ROCKSDB`` writes through directly (the WAL can be disabled).
-    ``LEVELDB`` cannot disable its WAL, so LSMIO aggregates updates in a
-    ``WriteBatch`` and applies them at ``stopBatch``/``writeBarrier``.
+    Both aggregate writes in the store's ``WriteBatch``.  ``ROCKSDB``
+    runs the engine WAL-less; ``LEVELDB`` cannot disable its WAL, so each
+    applied batch is also one log record.
     """
 
     ROCKSDB = "rocksdb"
@@ -49,13 +49,6 @@ class LsmioOptions:
     write_buffer_size: int | str = "32M"
     block_size: int | str = "4K"
     # ---------------------------------------------------------------------
-
-    #: accumulate manager puts/appends/deletes into a WriteBatch flushed
-    #: as one group commit at the write barrier (or when it reaches
-    #: ``write_buffer_size``, or before any read).  Modeled CPU is still
-    #: charged per operation, so simulated results do not change; the
-    #: saving is wall-clock per-put engine overhead.
-    batch_writes: bool = True
 
     checksum: str | ChecksumType = ChecksumType.ZLIB_CRC32
     bloom_bits_per_key: int = 10

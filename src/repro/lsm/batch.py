@@ -4,11 +4,10 @@ A batch is both the unit of atomicity and the WAL payload: the serialized
 form is ``fixed64 sequence ‖ fixed32 count ‖ records``, each record being a
 type byte plus length-prefixed key (and value for puts/merges).
 
-Batching is also how the paper's *LevelDB backend* aggregates writes:
-LevelDB cannot disable its WAL, so LSMIO buffers updates in a
-``WriteBatch`` and applies them at the write barrier (§3.1.2).  The
-RocksDB-style backend writes through directly instead.  Both behaviours
-live in :mod:`repro.core.store`.
+Batching is also how LSMIO aggregates writes (§3.1.2): the local store
+(:mod:`repro.core.store`) buffers updates in one ``WriteBatch`` and
+applies it as a single engine write at the write barrier, before reads,
+on sync writes, and when it reaches the write-buffer size.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ class WriteBatch:
         Operations appended since the previous boundary form one segment,
         sized as a standalone batch of those operations would be.  Callers
         that accumulate what would otherwise be independent writes (the
-        manager's put path) use this to keep modeled CPU charges —
+        store's put path) use this to keep modeled CPU charges —
         and therefore simulated timings — identical to unbatched writes.
         """
         if self._byte_size == self._charged_upto:

@@ -24,58 +24,12 @@ import threading
 from repro.errors import NotFoundError, StorageIOError
 
 
-class BufferPool:
-    """Reusable ``bytearray`` scratch buffers for serialization hot paths.
+def normalize_path(path: str) -> str:
+    """Canonical env path: ``/``-separated pieces, empty ones dropped.
 
-    The write path (WAL framing, block/table building, batch encoding)
-    repeatedly needs a growable byte buffer that is filled, consumed, and
-    discarded.  Allocating a fresh ``bytearray`` each time forfeits the
-    capacity the previous round already grew; the pool hands buffers back
-    out with their allocation intact (``del buf[:]`` keeps capacity in
-    CPython), so steady-state serialization does no reallocation at all.
-
-    Buffers are plain bytearrays — callers own them completely between
-    :meth:`acquire` and :meth:`release`, and forgetting to release is
-    harmless (the buffer is simply garbage-collected).
+    ``"/db///x/"`` and ``"db/x"`` name the same file.
     """
-
-    def __init__(self, max_pooled: int = 8, max_buffer_bytes: int = 64 << 20):
-        self._free: list[bytearray] = []
-        self._max_pooled = max_pooled
-        self._max_buffer_bytes = max_buffer_bytes
-        self._lock = threading.Lock()
-        self.acquires = 0
-        self.reuses = 0
-
-    def acquire(self) -> bytearray:
-        """Return an empty bytearray (capacity retained from prior use)."""
-        with self._lock:
-            self.acquires += 1
-            if self._free:
-                self.reuses += 1
-                return self._free.pop()
-        return bytearray()
-
-    def release(self, buf: bytearray) -> None:
-        """Hand ``buf`` back; it is cleared but keeps its allocation."""
-        try:
-            del buf[:]
-        except BufferError:
-            return  # an exported memoryview still pins it; drop it
-        with self._lock:
-            if (
-                len(self._free) < self._max_pooled
-                and buf.__sizeof__() <= self._max_buffer_bytes
-            ):
-                self._free.append(buf)
-
-
-_DEFAULT_POOL = BufferPool()
-
-
-def default_buffer_pool() -> BufferPool:
-    """The process-wide pool shared by WAL and table writers."""
-    return _DEFAULT_POOL
+    return "/".join(piece for piece in path.split("/") if piece)
 
 
 class WritableFile:
@@ -489,19 +443,15 @@ class MemEnv(Env):
         self._dirs: set[str] = {""}
         self._lock = threading.Lock()
 
-    @staticmethod
-    def _norm(path: str) -> str:
-        return path.strip("/").replace("//", "/")
-
     def new_writable_file(self, path: str) -> WritableFile:
         with self._lock:
             mem = _MemFile()
-            self._files[self._norm(path)] = mem
+            self._files[normalize_path(path)] = mem
             return _MemWritableFile(mem)
 
     def _lookup(self, path: str) -> _MemFile:
         try:
-            return self._files[self._norm(path)]
+            return self._files[normalize_path(path)]
         except KeyError as exc:
             raise NotFoundError(f"no such file: {path}") from exc
 
@@ -515,7 +465,7 @@ class MemEnv(Env):
 
     def file_exists(self, path: str) -> bool:
         with self._lock:
-            return self._norm(path) in self._files
+            return normalize_path(path) in self._files
 
     def file_size(self, path: str) -> int:
         with self._lock:
@@ -524,26 +474,26 @@ class MemEnv(Env):
     def delete_file(self, path: str) -> None:
         with self._lock:
             try:
-                del self._files[self._norm(path)]
+                del self._files[normalize_path(path)]
             except KeyError as exc:
                 raise NotFoundError(f"no such file: {path}") from exc
 
     def rename_file(self, src: str, dst: str) -> None:
         with self._lock:
             try:
-                self._files[self._norm(dst)] = self._files.pop(self._norm(src))
+                self._files[normalize_path(dst)] = self._files.pop(normalize_path(src))
             except KeyError as exc:
                 raise NotFoundError(f"no such file: {src}") from exc
 
     def create_dir(self, path: str) -> None:
         with self._lock:
-            norm = self._norm(path)
+            norm = normalize_path(path)
             pieces = norm.split("/")
             for i in range(1, len(pieces) + 1):
                 self._dirs.add("/".join(pieces[:i]))
 
     def get_children(self, path: str) -> list[str]:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         prefix = norm + "/" if norm else ""
         with self._lock:
             if norm not in self._dirs and not any(

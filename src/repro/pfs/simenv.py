@@ -16,7 +16,13 @@ import threading
 from typing import Optional
 
 from repro.errors import NotFoundError, StorageIOError
-from repro.lsm.env import Env, RandomAccessFile, SequentialFile, WritableFile
+from repro.lsm.env import (
+    Env,
+    RandomAccessFile,
+    SequentialFile,
+    WritableFile,
+    normalize_path,
+)
 from repro.pfs.client import LustreClient
 from repro.pfs.lustre import LustreFile
 from repro.util.humanize import parse_size
@@ -169,15 +175,11 @@ class SimLustreEnv(Env):
         self._dirs: set[str] = {""}
         self._dirs_lock = threading.Lock()
 
-    @staticmethod
-    def _norm(path: str) -> str:
-        return "/".join(piece for piece in path.split("/") if piece)
-
     # -- files -----------------------------------------------------------
 
     def new_writable_file(self, path: str) -> WritableFile:
         file = self.client.create(
-            self._norm(path),
+            normalize_path(path),
             stripe_count=self.stripe_count,
             stripe_size=self.stripe_size,
             store_data=True,  # the engine must read its bytes back
@@ -188,29 +190,29 @@ class SimLustreEnv(Env):
 
     def new_random_access_file(self, path: str) -> RandomAccessFile:
         return _SimRandomAccessFile(
-            self.client, self.client.open(self._norm(path)), self.readahead
+            self.client, self.client.open(normalize_path(path)), self.readahead
         )
 
     def new_sequential_file(self, path: str) -> SequentialFile:
-        return _SimSequentialFile(self.client, self.client.open(self._norm(path)))
+        return _SimSequentialFile(self.client, self.client.open(normalize_path(path)))
 
     # -- namespace ---------------------------------------------------------
 
     def file_exists(self, path: str) -> bool:
-        return self.cluster.exists(self._norm(path))
+        return self.cluster.exists(normalize_path(path))
 
     def file_size(self, path: str) -> int:
-        return self.client.stat(self._norm(path)).size
+        return self.client.stat(normalize_path(path)).size
 
     def delete_file(self, path: str) -> None:
-        self.client.unlink(self._norm(path))
+        self.client.unlink(normalize_path(path))
 
     def rename_file(self, src: str, dst: str) -> None:
         self.client.metadata_op("setattr")
-        self.cluster.rename(self._norm(src), self._norm(dst))
+        self.cluster.rename(normalize_path(src), normalize_path(dst))
 
     def create_dir(self, path: str) -> None:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         with self._dirs_lock:
             pieces = norm.split("/")
             new = False
@@ -223,7 +225,7 @@ class SimLustreEnv(Env):
             self.client.metadata_op("mkdir")
 
     def get_children(self, path: str) -> list[str]:
-        norm = self._norm(path)
+        norm = normalize_path(path)
         prefix = norm + "/" if norm else ""
         self.client.metadata_op("lookup")
         children: set[str] = set()

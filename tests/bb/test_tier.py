@@ -348,6 +348,24 @@ class TestNamespace:
         run_sim(main)
 
 
+    @pytest.mark.parametrize(
+        "path", ["db/x", "/db/x/", "db//x", "db///x", "//db////x//"]
+    )
+    def test_runs_of_slashes_name_one_path(self, path):
+        def main():
+            base = MemEnv()
+            tier = make_tier(base)
+            env = tier.env
+            write_file(env, path, b"payload", sync=True)
+            assert env.file_exists("db/x")
+            assert env.get_children("db") == ["x"]
+            assert read_file(env, "db/x") == b"payload"
+            tier.drain_barrier()
+            assert read_file(base, "db/x") == b"payload"
+
+        run_sim(main)
+
+
 class TestTierRecovery:
     def test_new_tier_over_dirty_device_requeues_and_drains(self):
         data = b"d" * 8192

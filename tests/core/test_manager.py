@@ -10,9 +10,12 @@ from repro.errors import (
     NotFoundError,
     OstUnavailableError,
 )
+from repro import sim
 from repro.core import LsmioManager, LsmioOptions
 from repro.lsm.env import MemEnv
 from repro.mpi import run_world
+from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
+from repro.pfs.configs import small_test_cluster
 
 
 def make_manager(**kwargs):
@@ -156,23 +159,15 @@ class TestGroupCommitAccounting:
             mgr.put("k2", b"w")
             assert [name for name, _ in mgr.scan()] == [b"k", b"k2"]
 
-    def test_batch_writes_off_restores_per_op_path(self):
-        opts = LsmioOptions(write_buffer_size="64K", batch_writes=False)
-        with make_manager(options=opts) as mgr:
-            for i in range(5):
-                mgr.put(f"k{i}", b"v")
-            mgr.write_barrier()
-            assert mgr.counters.batches_merged == 0
-            assert mgr.get("k0") == b"v"
-
     def test_sync_write_flushes_immediately(self):
         opts = LsmioOptions(write_buffer_size="64K", sync_writes=True)
         with make_manager(options=opts) as mgr:
             mgr.put("k", b"v")
-            # The pending batch was flushed by the sync put, not parked
-            # (paper config runs WAL-less, so durability is the flush).
-            assert mgr._pending is None  # noqa: SLF001
+            # The sync put reached the engine before returning, not parked
+            # in the store's batch (paper config runs WAL-less, so
+            # durability is the flush).
             assert mgr.store.db.stats.writes == 1
+            assert mgr.store.db.get(b"k") == b"v"
 
     def test_new_counters_survive_snapshot_and_reset(self):
         with make_manager() as mgr:
@@ -185,6 +180,58 @@ class TestGroupCommitAccounting:
             assert "commit_queue_depth" in snap
             mgr.counters.reset()
             assert mgr.counters.batches_merged == 0
+
+
+class TestCollectiveTimingPin:
+    """Collective mode on the simulated cluster, pinned to exact times.
+
+    The aggregator rank and its service process write to one store, so
+    the order in which their writes, flushes and reads take the store
+    lock decides the simulated timeline; any change to that lock-scope
+    sequence moves these values.
+    """
+
+    @staticmethod
+    def _charge(nbytes, kind):
+        sim.sleep(nbytes / float(800 << 20))
+
+    def _rank(self, comm):
+        client = LustreClient(comm.world._cluster, comm.rank)
+        mgr = LsmioManager(
+            f"pin{(comm.rank // 2) * 2}.lsmio",
+            options=LsmioOptions(write_buffer_size="64K", cpu_charge=self._charge),
+            env=SimLustreEnv(client),
+            comm=comm,
+            collective=True,
+            collective_group_size=2,
+        )
+        value = bytes([comm.rank]) * (12 << 10)
+        start = sim.now()
+        for i in range(24):
+            mgr.put(f"r{comm.rank}/x{i:03d}", value)
+            if i == 11:
+                assert mgr.get(f"r{comm.rank}/x000") == value
+        mgr.write_barrier(sync=True)
+        written = sim.now() - start
+        comm.barrier()
+        mgr.close()
+        return written
+
+    def test_sim_times_pinned(self):
+        with sim.Engine() as engine:
+            cluster = LustreCluster(engine, small_test_cluster())
+
+            def setup(world):
+                world._cluster = cluster
+
+            written = run_world(4, self._rank, engine=engine, world_setup=setup)
+            assert engine.now == 0.1544812155589049
+        assert written == [
+            0.13657043980670389,
+            0.1539830125683134,
+            0.13655854500842504,
+            0.15437111777003457,
+        ]
 
 
 class TestDegradedGroupCommit:

@@ -1,7 +1,11 @@
 """Tests for LsmioStore: Table 1 semantics in both backend modes."""
 
+import sys
+import threading
+
 import pytest
 
+from repro import trace
 from repro.errors import ClosedError, InvalidArgumentError, NotFoundError
 from repro.core import Backend, LsmioOptions, LsmioStore
 from repro.lsm.env import MemEnv
@@ -115,6 +119,122 @@ class TestLeveldbMode:
             store.append(b"s", b"2")
             store.stop_batch()
             assert store.get(b"s") == b"12"
+
+
+def count_engine_writes(store):
+    """Record the op count of every engine write the store issues."""
+    writes = []
+    engine_write = store.db.write
+
+    def counting(batch, options):
+        writes.append(len(batch))
+        return engine_write(batch, options)
+
+    store.db.write = counting
+    return writes
+
+
+@pytest.mark.parametrize("backend", list(Backend))
+class TestAggregation:
+    """The store owns write aggregation in both backend modes."""
+
+    def test_puts_merge_into_one_engine_write(self, backend):
+        with make_store(backend) as store:
+            writes = count_engine_writes(store)
+            for i in range(5):
+                store.put(f"k{i}".encode(), b"v")
+            assert writes == []
+            store.write_barrier()
+            assert writes == [5]
+            assert store.batches_merged == 4
+            assert store.db.stats.writes == 5
+
+    def test_flush_at_write_buffer_size(self, backend):
+        # Four 16 KiB puts fill the 64 KiB write buffer.
+        with make_store(backend) as store:
+            writes = count_engine_writes(store)
+            for i in range(5):
+                store.put(f"k{i}".encode(), bytes(16 << 10))
+            assert writes == [4]
+            store.write_barrier()
+            assert writes == [4, 1]
+            assert store.batches_merged == 3
+
+    def test_sync_put_flushes_and_drains(self, backend):
+        with make_store(backend, sync_writes=False) as store:
+            writes = count_engine_writes(store)
+            store.put(b"a", b"small")
+            store.put(b"k", b"v" * (100 << 10), sync=True)
+            assert writes == [2]
+            files, _ = store.db.approximate_level_shape()[0]
+            assert files >= 1  # the memtable flush finished in the call
+
+    def test_reads_observe_own_writes(self, backend):
+        with make_store(backend) as store:
+            writes = count_engine_writes(store)
+            store.put(b"k1", b"v1")
+            assert store.get(b"k1") == b"v1"
+            store.put(b"k2", b"v2")
+            assert store.multi_get([b"k2"]) == {b"k2": b"v2"}
+            store.delete(b"k1")
+            assert [k for k, _ in store.scan()] == [b"k2"]
+            assert writes == [1, 1, 1]
+
+    def test_stop_batch_applies_batch(self, backend):
+        with make_store(backend) as store:
+            writes = count_engine_writes(store)
+            store.start_batch()
+            store.append(b"s", b"1")
+            store.append(b"s", b"2")
+            assert writes == []
+            store.stop_batch()
+            assert writes == [2]
+            assert store.db.get(b"s") == b"12"
+
+    def test_traced_flush_emits_span(self, backend):
+        with make_store(backend) as store:
+            with trace.session() as tracer:
+                store.put(b"a", b"12")
+                store.put(b"bb", b"345")
+                store.put(b"c", b"6", sync=True)
+            spans = [
+                s for s in tracer.spans if (s.category, s.name) == (
+                    "core", "flush_pending",
+                )
+            ]
+            assert [s.args for s in spans] == [
+                {"ops": 3, "nbytes": 10, "sync": True}
+            ]
+
+
+class TestConcurrentWriters:
+    def test_no_write_lost_across_threads(self):
+        # Real threads share one store: every put must reach the engine
+        # exactly once while other threads flush the batch under it.
+        threads, per_thread = 8, 300
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with make_store(write_buffer_size="4K") as store:
+
+                def writer(tid):
+                    for i in range(per_thread):
+                        store.put(f"t{tid}/k{i:04d}".encode(), bytes(64))
+
+                workers = [
+                    threading.Thread(target=writer, args=(tid,))
+                    for tid in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                    assert not worker.is_alive()
+                store.write_barrier()
+                assert store.db.stats.writes == threads * per_thread
+                assert len(list(store.scan())) == threads * per_thread
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSyncModes:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NotFoundError
-from repro.lsm.env import LocalFsEnv, MemEnv
+from repro.lsm.env import LocalFsEnv, MemEnv, normalize_path
 
 
 @pytest.fixture(params=["mem", "local"])
@@ -140,3 +140,31 @@ class TestMemEnvNesting:
         env.new_writable_file("a/c").close()
         assert env.get_children("a") == ["b", "c"]
         assert env.get_children("a/b") == ["f1"]
+
+    @pytest.mark.parametrize(
+        "path", ["db/x", "/db/x/", "db//x", "db///x", "//db////x//"]
+    )
+    def test_runs_of_slashes_name_one_path(self, path):
+        env = MemEnv()
+        with env.new_writable_file(path) as fh:
+            fh.append(b"payload")
+        assert env.file_exists("db/x")
+        assert env.file_size("db/x") == 7
+        assert env.get_children("db") == ["x"]
+        assert env.get_children("/db//") == ["x"]
+
+
+class TestNormalizePath:
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("db/x", "db/x"),
+            ("/db/x/", "db/x"),
+            ("db///x", "db/x"),
+            ("//a//b///c//", "a/b/c"),
+            ("", ""),
+            ("///", ""),
+        ],
+    )
+    def test_drops_empty_pieces(self, path, expected):
+        assert normalize_path(path) == expected
