@@ -185,6 +185,11 @@ def _ratio(a: float, b: float):
     return round(a / b, 2) if b > 0 else None
 
 
+def _times(ratio) -> str:
+    """A ratio for printing; a zero denominator reads ``n/a``."""
+    return "n/a" if ratio is None else f"{ratio}x"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -263,9 +268,9 @@ def main(argv=None) -> int:
             f"  {st['windows']:>7d}  {st['total_duration_s']:>7.3f}s"
         )
     print(
-        f"paced vs serial: {window_improvement}x fewer "
-        f"windows, {duration_improvement}x less stalled "
-        f"time, {p999_improvement}x on p99.9"
+        f"paced vs serial: {_times(window_improvement)} fewer "
+        f"windows, {_times(duration_improvement)} less stalled "
+        f"time, {_times(p999_improvement)} on p99.9"
     )
 
     json_path = args.out or DEFAULT_JSON

@@ -10,8 +10,10 @@ with a two-phase commit protocol —
 2. only after that barrier succeeds is the epoch's ``commit`` marker
    written (and barriered) and the epoch appended to the index.
 
-A crash, dead OST, or exhausted retry budget anywhere in the middle
-leaves the epoch without a commit marker; restart
+A crash, dead OST, or exhausted retry budget during the data phase
+leaves the epoch without a commit marker.  A failure of the commit
+barrier itself is ambiguous — the marker may already sit in the WAL —
+so that epoch's outcome is decided by the restart.  Restart
 (:meth:`Checkpointer.load_latest`) walks committed epochs newest-first,
 verifies every block against its manifest CRC, and falls back to the
 previous complete epoch on any corruption — so the recovered state is
@@ -134,9 +136,15 @@ class Checkpointer:
     ) -> DegradedWriteReport:
         """Write one epoch crash-consistently; return the barrier report.
 
-        Raises :class:`~repro.errors.DegradedWriteError` (data phase
-        failed — the epoch is simply absent) or propagates a rank crash;
-        in both cases no commit marker exists and restarts fall back.
+        Raises :class:`~repro.errors.DegradedWriteError` when a barrier
+        fails.  A data-phase (phase 1) failure leaves the epoch absent:
+        no commit marker was written, so restarts fall back.  A
+        commit-phase (phase 2) failure is ambiguous — the commit marker
+        was accepted before the barrier failed and may survive in the
+        WAL — so its error names the commit phase and the epoch's
+        outcome is unknown until restart: reload with
+        :meth:`load_latest` rather than reusing the epoch number.  A
+        rank crash propagates unchanged.
 
         With a burst-buffer tier the commit barrier makes the epoch
         durable *on the node* (the tier's sealed segments); the PFS copy
@@ -160,7 +168,14 @@ class Checkpointer:
 
         manager.put(self._epoch_key(epoch, "commit"), b"1")
         manager.append(self._index_key, f"{epoch} ")
-        manager.write_barrier()  # phase 2: the epoch exists
+        try:
+            manager.write_barrier()  # phase 2: the epoch exists
+        except DegradedWriteError as exc:
+            raise DegradedWriteError(
+                f"epoch {epoch} commit phase failed, outcome unknown "
+                f"until restart: {exc}",
+                report=exc.report,
+            ) from exc
         report = data_report.merged(self._last_report())
         if wait_drain:
             barrier = getattr(manager, "drain_barrier", None)

@@ -8,23 +8,10 @@ counters serve the standalone library and the cluster benchmarks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from repro.sim import engine as _sim_engine
-
-
-def ambient_clock() -> float:
-    """Simulated time when inside a sim process, else monotonic seconds.
-
-    Hot path — called twice per put — so this reads the sim engine's
-    thread-local directly instead of routing through ``sim.now()`` (which
-    costs an import lookup and an exception when no engine is active).
-    """
-    engine = getattr(_sim_engine._TLS, "engine", None)
-    if engine is None:
-        return time.monotonic()
-    return engine.now
+# One clock for the whole repo; re-exported here for counter users.
+from repro.trace.runtime import ambient_clock  # noqa: F401
 
 
 @dataclass

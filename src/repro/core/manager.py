@@ -192,36 +192,18 @@ class LsmioManager:
         # Counter invariant: bytes accounted == bytes the store writes,
         # i.e. the UTF-8-encoded length, never len() of a str argument.
         nbytes = len(value)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("core", "put", nbytes=nbytes)
-        start = ambient_clock()
-        try:
+        with _trace.span("core", "put", hist="core.put", nbytes=nbytes):
+            start = ambient_clock()
             self._forward_or_apply(("put", key, value, sync))
-        finally:
-            if span is not None:
-                span.finish()
-        elapsed = ambient_clock() - start
-        self.counters.record("put", nbytes, elapsed)
-        tele = _trace.TELEMETRY
-        if tele is not None:
-            tele.observe("core.put", elapsed)
+        self.counters.record("put", nbytes, ambient_clock() - start)
 
     def append(self, key: bytes | str, value: bytes | str, sync: Optional[bool] = None) -> None:
         """Append to the existing value, locally or remotely."""
         key, value = _as_key(key), _as_value(value)
         nbytes = len(value)  # encoded length — see put()
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("core", "append", nbytes=nbytes)
-        start = ambient_clock()
-        try:
+        with _trace.span("core", "append", nbytes=nbytes):
+            start = ambient_clock()
             self._forward_or_apply(("append", key, value, sync))
-        finally:
-            if span is not None:
-                span.finish()
         self.counters.record("append", nbytes, ambient_clock() - start)
 
     def delete(self, key: bytes | str) -> None:
@@ -233,22 +215,14 @@ class LsmioManager:
     def get(self, key: bytes | str) -> bytes:
         """Get the value for the key.  Always synchronous (Table 2)."""
         key = _as_key(key)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("core", "get")
-        start = ambient_clock()
-        try:
+        with _trace.span("core", "get") as span:
+            start = ambient_clock()
             self._check_open()
             if self.is_aggregator:
                 value = self.store.get(key)
             else:
                 value = self._ask_aggregator(("get", self.comm.rank, key))
-            if span is not None:
-                span.set(nbytes=len(value))
-        finally:
-            if span is not None:
-                span.finish()
+            span.set(nbytes=len(value))
         self.counters.record("get", len(value), ambient_clock() - start)
         return value
 
@@ -265,58 +239,50 @@ class LsmioManager:
         injector installed this is the original fast path plus one
         attribute probe.
         """
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("core", "barrier", sync=sync):
-                return self._write_barrier(sync)
-        return self._write_barrier(sync)
-
-    def _write_barrier(self, sync: bool) -> None:
-        start = ambient_clock()
-        self._check_open()
-        injector = self._fault_injector()
-        if injector is not None:
-            injector.maybe_crash_rank(
-                start, self.comm.rank if self.comm is not None else 0
-            )
-        before = self._fault_snapshot()
-        try:
-            if self.is_aggregator:
-                self.store.write_barrier(sync=sync)
-            else:
-                self._ask_aggregator(("barrier", self.comm.rank, sync))
-        except _BARRIER_FAULTS as exc:
+        with _trace.span("core", "barrier", sync=sync):
+            start = ambient_clock()
+            self._check_open()
+            injector = self._fault_injector()
+            if injector is not None:
+                injector.maybe_crash_rank(
+                    start, self.comm.rank if self.comm is not None else 0
+                )
+            before = self._fault_snapshot()
+            fault: Optional[BaseException] = None
+            try:
+                if self.is_aggregator:
+                    self.store.write_barrier(sync=sync)
+                else:
+                    self._ask_aggregator(("barrier", self.comm.rank, sync))
+            except _BARRIER_FAULTS as exc:
+                fault = exc
             self._sync_group_commit_counters()
-            report = self._barrier_report(before, completed=False, error=str(exc))
-            self.last_barrier_report = report
-            self.counters.record_faults(
-                report.retries,
-                report.timeouts,
-                report.backoff_time,
-                degraded=True,
-                failed=True,
+            report = self._barrier_report(
+                before,
+                completed=fault is None,
+                error=None if fault is None else str(fault),
             )
+            self.last_barrier_report = report
+            if report.degraded:
+                self.counters.record_faults(
+                    report.retries,
+                    report.timeouts,
+                    report.backoff_time,
+                    degraded=True,
+                    failed=fault is not None,
+                )
             elapsed = ambient_clock() - start
             self.counters.record("barrier", elapsed=elapsed)
+            # Histogram of barriers that returned, cleanly or degraded; a
+            # rank that dies mid-barrier has no barrier latency, so the
+            # span (which does close) cannot feed it.
             tele = _trace.TELEMETRY
             if tele is not None:
                 tele.observe("core.barrier", elapsed)
-            raise DegradedWriteError(report.summary(), report=report) from exc
-        self._sync_group_commit_counters()
-        report = self._barrier_report(before, completed=True)
-        self.last_barrier_report = report
-        if report.degraded:
-            self.counters.record_faults(
-                report.retries,
-                report.timeouts,
-                report.backoff_time,
-                degraded=True,
-            )
-        elapsed = ambient_clock() - start
-        self.counters.record("barrier", elapsed=elapsed)
-        tele = _trace.TELEMETRY
-        if tele is not None:
-            tele.observe("core.barrier", elapsed)
+            if fault is not None:
+                raise DegradedWriteError(
+                    report.summary(), report=report
+                ) from fault
 
     def drain_barrier(self):
         """Wait for the burst-buffer drain backlog to reach the PFS.
@@ -329,11 +295,8 @@ class LsmioManager:
         """
         if self.burst_buffer is None:
             return None
-        tracer = _trace.TRACER
-        if tracer is not None:
-            with tracer.span("core", "drain_barrier"):
-                return self.burst_buffer.drain_barrier()
-        return self.burst_buffer.drain_barrier()
+        with _trace.span("core", "drain_barrier"):
+            return self.burst_buffer.drain_barrier()
 
     # -- fault plumbing (all no-ops on a healthy/local setup) ----------
 
@@ -458,12 +421,10 @@ class LsmioManager:
         self._check_open()
         kind, key, value, sync = op
         if not self.is_aggregator:
-            tracer = _trace.TRACER
-            if tracer is not None:
-                tracer.instant(
-                    "core", "forward", op=kind, rank=self.comm.rank,
-                    aggregator=self.aggregator_rank,
-                )
+            _trace.instant(
+                "core", "forward", op=kind, rank=self.comm.rank,
+                aggregator=self.aggregator_rank,
+            )
             self.comm.channel_send(_OPS_CHANNEL, op, self.aggregator_rank)
             return
         self._write_local(kind, key, value, sync)

@@ -197,22 +197,15 @@ class LsmioStore:
                 return
             self._batch = WriteBatch()
             self.batches_merged += len(batch) - 1
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "core", "flush_pending", ops=len(batch),
-                nbytes=batch.payload_bytes, sync=sync,
-            )
-        try:
+        with _trace.span(
+            "core", "flush_pending", ops=len(batch),
+            nbytes=batch.payload_bytes, sync=sync,
+        ):
             with self._lock:
                 self._check_open()
                 self.db.write(batch, WriteOptions())
             if sync:
                 self._executor.drain(priorities=BARRIER_CLASSES)
-        finally:
-            if span is not None:
-                span.finish()
 
     def _check_open(self) -> None:
         if self._closed:

@@ -558,18 +558,13 @@ class IoScheduler:
             if depth > stats.max_queue_depth:
                 stats.max_queue_depth = depth
             tracer = _trace.TRACER
-            span = None
             if tracer is not None:
                 tracer.gauge("io", f"{self.name}.depth", depth)
-                span = tracer.span(
-                    "io", "sched.wait", sched=self.name, kind=kind,
-                    cls=cls, nbytes=nbytes,
-                )
-            try:
+            with _trace.span(
+                "io", "sched.wait", sched=self.name, kind=kind,
+                cls=cls, nbytes=nbytes,
+            ):
                 yield request._gate
-            finally:
-                if span is not None:
-                    span.finish()
             stats.queued_issues += 1
             waited_q = sim.now() - request.submit_time
             stats.class_stall_time[cls] += waited_q

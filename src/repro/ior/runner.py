@@ -88,38 +88,21 @@ def _rank_main(comm, config: IorConfig) -> dict:
     elif config.compaction_bandwidth is not None:
         client.scheduler.set_compaction_bandwidth(config.compaction_bandwidth)
     api = _APIS[config.api](config, comm, client)
-    tracer = _trace.TRACER
 
     comm.barrier()
     t0 = sim.now()
-    span = None
-    if tracer is not None:
-        span = tracer.span(
-            "bench", "phase:write", rank=comm.rank, api=config.api,
-        )
-    try:
+    with _trace.span("bench", "phase:write", rank=comm.rank, api=config.api):
         api.write_phase()
         comm.barrier()
-    finally:
-        if span is not None:
-            span.finish()
     write_time = sim.now() - t0
 
     read_time = 0.0
     if config.read_back:
         comm.barrier()
         t2 = sim.now()
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "bench", "phase:read", rank=comm.rank, api=config.api,
-            )
-        try:
+        with _trace.span("bench", "phase:read", rank=comm.rank, api=config.api):
             api.read_phase()
             comm.barrier()
-        finally:
-            if span is not None:
-                span.finish()
         read_time = sim.now() - t2
     api.teardown()
     return {"write_time": write_time, "read_time": read_time}

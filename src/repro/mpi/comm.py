@@ -100,14 +100,9 @@ class Communicator:
             self.world.mailbox(dest, self.rank, tag).put(obj)
             return
         nbytes = message_size(obj)
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span(
-                "mpi", "send", src=self.rank, dest=dest, tag=tag,
-                nbytes=nbytes,
-            )
-        try:
+        with _trace.span(
+            "mpi", "send", src=self.rank, dest=dest, tag=tag, nbytes=nbytes,
+        ):
             nic = self.world._nics[self.rank]
             yield from nic.acquire_lw()
             try:
@@ -116,9 +111,6 @@ class Communicator:
                 nic.release()
             self.world.mailbox(dest, self.rank, tag).put(obj)
             self.world._any_source[dest].put((self.rank, tag))
-        finally:
-            if span is not None:
-                span.finish()
 
     def recv(self, source: int = ANY_SOURCE, tag: int = 0) -> Any:
         """Blocking receive.
@@ -130,12 +122,7 @@ class Communicator:
 
     def recv_lw(self, source: int = ANY_SOURCE, tag: int = 0):
         """Generator body of :meth:`recv` (``yield from`` it)."""
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("mpi", "recv", rank=self.rank, src=source,
-                               tag=tag)
-        try:
+        with _trace.span("mpi", "recv", rank=self.rank, src=source, tag=tag):
             if source == ANY_SOURCE:
                 # Hold non-matching arrival notices aside while scanning,
                 # then re-post them; re-posting inside the loop would spin
@@ -160,9 +147,6 @@ class Communicator:
             return (
                 yield from self.world.mailbox(self.rank, source, tag).get_lw()
             )
-        finally:
-            if span is not None:
-                span.finish()
 
     def sendrecv(
         self, obj: Any, dest: int, source: int = ANY_SOURCE, tag: int = 0
@@ -191,23 +175,16 @@ class Communicator:
             raise InvalidArgumentError(f"bad destination rank {dest}")
         if dest != self.rank:
             nbytes = message_size(obj)
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                span = tracer.span(
-                    "mpi", "channel_send", src=self.rank, dest=dest,
-                    key=key, nbytes=nbytes,
-                )
-            try:
+            with _trace.span(
+                "mpi", "channel_send", src=self.rank, dest=dest,
+                key=key, nbytes=nbytes,
+            ):
                 nic = self.world._nics[self.rank]
                 yield from nic.acquire_lw()
                 try:
                     yield self.world.network.transfer_time(nbytes)
                 finally:
                     nic.release()
-            finally:
-                if span is not None:
-                    span.finish()
         self.world.channel(dest, key).put(obj)
 
     def channel_recv(self, key: str) -> Any:
@@ -216,10 +193,7 @@ class Communicator:
 
     def channel_recv_lw(self, key: str):
         """Generator body of :meth:`channel_recv` (``yield from`` it)."""
-        tracer = _trace.TRACER
-        if tracer is None:
-            return (yield from self.world.channel(self.rank, key).get_lw())
-        with tracer.span("mpi", "channel_recv", rank=self.rank, key=key):
+        with _trace.span("mpi", "channel_recv", rank=self.rank, key=key):
             return (yield from self.world.channel(self.rank, key).get_lw())
 
     # ------------------------------------------------------------------
@@ -239,11 +213,7 @@ class Communicator:
         Thread-backed and light ranks share the world's count/generation
         state and gate event, so both kinds may meet in one barrier.
         """
-        tracer = _trace.TRACER
-        span = None
-        if tracer is not None:
-            span = tracer.span("mpi", "barrier", rank=self.rank)
-        try:
+        with _trace.span("mpi", "barrier", rank=self.rank):
             world = self.world
             world._barrier_count += 1
             gate = world._barrier_event
@@ -259,9 +229,6 @@ class Communicator:
                 gate.succeed()
             else:
                 yield gate
-        finally:
-            if span is not None:
-                span.finish()
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Binomial-tree broadcast; returns the object on every rank."""

@@ -80,15 +80,11 @@ class Oss:
 
             raise RpcTimeoutError(f"oss{self.index} unreachable")
         tracer = _trace.TRACER
-        span = None
         if tracer is not None:
             tracer.gauge(
                 "pfs", f"oss{self.index}.queue", self._pipe.queue_length,
             )
-            span = tracer.span(
-                "pfs", "oss_transfer", oss=self.index, nbytes=nbytes,
-            )
-        try:
+        with _trace.span("pfs", "oss_transfer", oss=self.index, nbytes=nbytes):
             yield from self._pipe.acquire_lw()
             try:
                 start = sim.now()
@@ -98,9 +94,6 @@ class Oss:
                 self.stats.busy_time += sim.now() - start
             finally:
                 self._pipe.release()
-        finally:
-            if span is not None:
-                span.finish()
 
     @property
     def queue_length(self) -> int:

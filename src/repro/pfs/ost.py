@@ -113,32 +113,26 @@ class Ost:
         bookkeeping; the thread form drives this generator via
         :func:`sim.run_blocking`, so both backends replay one schedule.
         """
-        tracer = _trace.TRACER
         if not self.up:
             self.stats.rejected_requests += 1
-            if tracer is not None:
-                tracer.instant(
-                    "pfs", "ost_rejected", ost=self.index, client=client_id,
-                )
+            _trace.instant(
+                "pfs", "ost_rejected", ost=self.index, client=client_id,
+            )
             raise OstUnavailableError(
                 f"ost{self.index} is down", ost_index=self.index
             )
-        span = None
+        tracer = _trace.TRACER
         if tracer is not None:
             tracer.gauge(
                 "pfs", f"ost{self.index}.queue", self._service.queue_length,
             )
-            span = tracer.span(
-                "pfs", "ost_serve", ost=self.index, client=client_id,
-                nbytes=nbytes, write=is_write,
-            )
-        try:
+        with _trace.span(
+            "pfs", "ost_serve", ost=self.index, client=client_id,
+            nbytes=nbytes, write=is_write,
+        ):
             yield from self._serve_lw(
                 client_id, object_id, offset, nbytes, is_write
             )
-        finally:
-            if span is not None:
-                span.finish()
 
     def _serve_lw(
         self,

@@ -432,12 +432,10 @@ class Engine:
         )
         self._processes.append(proc)
         self._schedule(0.0, proc._resume_action)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant(
-                "sim", "spawn", ts=self._now, track="engine",
-                proc=proc.name, daemon=daemon,
-            )
+        _trace.instant(
+            "sim", "spawn", ts=self._now, track="engine",
+            proc=proc.name, daemon=daemon,
+        )
         return proc
 
     def spawn_light(
@@ -465,13 +463,14 @@ class Engine:
         proc = LightProcess(self, gen, name=pname, daemon=daemon)
         self._processes.append(proc)
         self._schedule(0.0, proc._resume_action)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.instant(
+        if _trace.TRACER is not None:
+            # guarded: light spawns are per-RPC hot, and the span outlives
+            # this call (LightProcess._finish closes it)
+            _trace.instant(
                 "sim", "spawn", ts=self._now, track="engine",
                 proc=pname, daemon=daemon,
             )
-            proc._span = tracer.span("sim", f"proc:{pname}")
+            proc._span = _trace.span("sim", f"proc:{pname}")
         return proc
 
     def _wrap(self, fn: Callable) -> Callable:
@@ -482,18 +481,13 @@ class Engine:
             token_proc = getattr(_TLS, "process", None)
             _TLS.engine = engine
             _TLS.process = engine._running_process
-            tracer = _trace.TRACER
-            span = None
-            if tracer is not None:
-                proc = _TLS.process
-                span = tracer.span(
-                    "sim", f"proc:{proc.name if proc is not None else 'proc'}"
-                )
+            proc = _TLS.process
             try:
-                return fn(*args, **kwargs)
+                with _trace.span(
+                    "sim", f"proc:{proc.name if proc is not None else 'proc'}"
+                ):
+                    return fn(*args, **kwargs)
             finally:
-                if span is not None:
-                    span.finish()
                 _TLS.engine = token_engine
                 _TLS.process = token_proc
 

@@ -2,9 +2,11 @@
 
 This module must not import anything else from ``repro``: the sim
 engine, PFS client, LSM engine, MPI communicator, and LSMIO manager all
-import it at module scope and gate their instrumentation on
-``TRACER is not None`` — one module-global read plus an identity check
-when tracing is off, with no allocation on the disabled path.
+import it at module scope.  A layer boundary is instrumented by exactly
+one call, :func:`span`, which opens the boundary's tracer span and feeds
+its latency histogram from the same interval; point events go through
+:func:`instant`.  Both return or do nothing when neither instrument is
+installed.
 
 The simulated-clock hookup is inverted to keep the import graph acyclic:
 :mod:`repro.sim.engine` registers its thread-local state here
@@ -45,8 +47,8 @@ _SIM_TLS = None
 def ambient_clock() -> float:
     """Simulated time inside a sim process, else monotonic wall seconds.
 
-    The same clock policy as :func:`repro.core.counters.ambient_clock`,
-    re-implemented here so the trace package has no ``repro`` imports.
+    The one clock every layer times itself on (counters, stall
+    accounting, spans and histograms alike).
     """
     tls = _SIM_TLS
     engine = getattr(tls, "engine", None) if tls is not None else None
@@ -86,14 +88,55 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-def span(category: str, name: str, **args):
-    """Convenience: open a span on the installed tracer, or no-op.
+class _HistTimer:
+    """A boundary timed for its histogram alone (telemetry, no tracer)."""
 
-    Library hot paths check ``TRACER is not None`` themselves (the
-    keyword arguments here allocate even when disabled); this helper is
-    for user code and cold paths.
+    __slots__ = ("tele", "hist", "start")
+
+    def __init__(self, tele, hist: str):
+        self.tele = tele
+        self.hist = hist
+        self.start = ambient_clock()
+
+    def __enter__(self) -> "_HistTimer":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.finish()
+        return False
+
+    def set(self, **args) -> "_HistTimer":
+        return self
+
+    def finish(self) -> None:
+        self.tele.observe(self.hist, ambient_clock() - self.start)
+
+
+def span(category: str, name: str, hist=None, **args):
+    """Instrument one layer boundary; use as ``with span(...) as s:``.
+
+    Opens a span on the installed tracer, and when ``hist`` names a
+    histogram and telemetry is installed, observes the interval's
+    duration into it on finish — so a boundary's latency distribution
+    and its spans always cover the same interval.  Returns
+    :data:`NULL_SPAN` when neither applies.  ``args`` are built by the
+    caller even when disabled: attach costly ones with ``s.set(...)``
+    behind a ``TRACER`` check.
     """
     tracer = TRACER
-    if tracer is None:
-        return NULL_SPAN
-    return tracer.span(category, name, **args)
+    tele = TELEMETRY if hist is not None else None
+    opened = NULL_SPAN if tracer is None else tracer.span(category, name, **args)
+    if tele is None:
+        return opened
+    if opened is NULL_SPAN:
+        return _HistTimer(tele, hist)
+    opened.tele = tele
+    opened.hist = hist
+    return opened
+
+
+def instant(category: str, name: str, **args) -> None:
+    """Record a point event on the installed tracer, or no-op."""
+    tracer = TRACER
+    if tracer is not None:
+        tracer.instant(category, name, **args)

@@ -36,7 +36,7 @@ class Span:
 
     __slots__ = (
         "tracer", "category", "name", "start", "end", "track", "depth",
-        "args", "wall_start", "wall_end",
+        "args", "wall_start", "wall_end", "tele", "hist",
     )
 
     def __init__(
@@ -60,6 +60,10 @@ class Span:
         self.args = args
         self.wall_start = wall_start
         self.wall_end: Optional[float] = None
+        #: the telemetry and histogram name this span's duration feeds
+        #: on finish (set by :func:`repro.trace.runtime.span`)
+        self.tele = None
+        self.hist: Optional[str] = None
 
     @property
     def duration(self) -> float:
@@ -72,6 +76,8 @@ class Span:
 
     def finish(self) -> None:
         self.tracer._finish_span(self)
+        if self.tele is not None:
+            self.tele.observe(self.hist, self.end - self.start)
 
     def __enter__(self) -> "Span":
         return self

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro import sim
 from repro.core import Checkpointer, DegradedWriteReport, LsmioManager, LsmioOptions
-from repro.errors import CorruptionError, NotFoundError
+from repro.errors import CorruptionError, DegradedWriteError, NotFoundError
+from repro.fault import FaultInjector, FaultSchedule
 from repro.lsm import MemEnv
+from repro.pfs import LustreClient, LustreCluster, SimLustreEnv
+from repro.pfs.configs import small_test_cluster
 
 
 @pytest.fixture
@@ -158,3 +162,64 @@ class TestDegradedWriteReport:
     def test_save_or_report_on_healthy_store(self, manager):
         report = Checkpointer(manager).save_or_report(1, state_for(1))
         assert report.completed
+
+
+class TestCommitPhaseFailure:
+    def test_commit_barrier_failure_is_reported_as_ambiguous(self):
+        """Every OST dies between the data and the commit barrier: the
+        error names the commit phase, and the restart (not the error)
+        decides whether the epoch exists."""
+
+        def main(client):
+            injector = client.cluster.fault_injector
+            manager = LsmioManager(
+                "job.lsmio/rank0",
+                options=LsmioOptions(write_buffer_size="256K"),
+                env=SimLustreEnv(client),
+            )
+            ckpt = Checkpointer(manager)
+            ckpt.save(1, state_for(1))
+            barrier = manager.write_barrier
+            calls = []
+
+            def fail_osts_before_commit(sync=True):
+                calls.append(sync)
+                if len(calls) == 2:  # save()'s second barrier commits
+                    for ost in range(client.cluster.config.num_osts):
+                        injector.fail_ost_now(ost)
+                return barrier(sync)
+
+            manager.write_barrier = fail_osts_before_commit
+            with pytest.raises(DegradedWriteError) as excinfo:
+                ckpt.save(2, state_for(2))
+            for ost in range(client.cluster.config.num_osts):
+                injector.recover_ost_now(ost)
+
+            restarted = LsmioManager(
+                "job.lsmio/rank0",
+                options=LsmioOptions(write_buffer_size="256K"),
+                env=SimLustreEnv(client),
+            )
+            epoch, state = Checkpointer(restarted).load_latest()
+            restarted.close()
+            return excinfo.value, epoch, state
+
+        config = small_test_cluster(
+            rpc_timeout=0.02, rpc_max_retries=3, rpc_backoff_base=0.01,
+            rpc_backoff_max=0.05, rpc_backoff_jitter=0.0,
+        )
+        with sim.Engine() as engine:
+            cluster = LustreCluster(engine, config)
+            FaultInjector(FaultSchedule()).install(cluster)
+            proc = engine.spawn(main, LustreClient(cluster, 0))
+            engine.run()
+        error, epoch, state = proc.result
+        message = str(error)
+        assert "epoch 2 commit phase" in message
+        assert "outcome unknown until restart" in message
+        assert error.report is not None and error.report.completed is False
+        assert isinstance(error.__cause__, DegradedWriteError)
+        # either outcome is legal; whichever the restart picks is whole
+        assert epoch in (1, 2)
+        np.testing.assert_array_equal(state["field"], state_for(epoch)["field"])
+        assert state["tag"] == f"epoch-{epoch}"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import sim, trace
+from repro import sim, telemetry, trace
 from repro.trace import runtime
 from repro.trace.runtime import NULL_SPAN
 from repro.trace.tracer import Tracer
@@ -153,3 +153,58 @@ class TestRecording:
         assert payload["format"] == "repro-trace"
         assert payload["meta"] == {"fig": "fig5"}
         assert payload["metrics"] == {"a.b": 1}
+
+
+class TestBoundarySpan:
+    """``runtime.span``: one call opens the span and feeds its histogram."""
+
+    @staticmethod
+    def run(fn):
+        with sim.Engine() as engine:
+            engine.spawn(fn, name="worker")
+            engine.run()
+
+    def test_span_feeds_its_histogram_on_finish(self, installed):
+        with telemetry.session() as tele:
+            def work():
+                with runtime.span("test", "op", hist="test.op", k=1) as span:
+                    sim.sleep(0.25)
+                    span.set(n=2)
+
+            self.run(work)
+        (span,) = [s for s in installed.spans if s.category == "test"]
+        assert span.args == {"k": 1, "n": 2}
+        hist = tele.histograms["test.op"]
+        assert (hist.count, hist.sum) == (1, span.duration) == (1, 0.25)
+
+    def test_telemetry_alone_times_the_same_interval(self):
+        with telemetry.session() as tele:
+            def work():
+                with runtime.span("test", "op", hist="test.op") as timer:
+                    assert timer is not NULL_SPAN
+                    timer.set(ignored=True)
+                    sim.sleep(0.5)
+
+            self.run(work)
+        hist = tele.histograms["test.op"]
+        assert (hist.count, hist.sum) == (1, 0.5)
+
+    def test_span_without_hist_leaves_telemetry_alone(self, installed):
+        with telemetry.session() as tele:
+            with runtime.span("test", "op") as span:
+                assert span is not NULL_SPAN
+        assert tele.histograms == {}
+        with runtime.span("test", "op", hist="test.op") as span:
+            assert span.hist is None  # no telemetry installed
+        assert len(installed.spans) == 2
+
+    def test_nothing_installed_is_the_null_span(self):
+        assert runtime.span("test", "op", hist="test.op") is NULL_SPAN
+        runtime.instant("test", "point", k=1)  # no tracer: no-op
+
+    def test_instant_records_on_the_installed_tracer(self, installed):
+        runtime.instant("test", "point", ts=1.5, track="t", k=1)
+        assert installed.instants == [
+            {"cat": "test", "name": "point", "ts": 1.5, "track": "t",
+             "args": {"k": 1}}
+        ]
